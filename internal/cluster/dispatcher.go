@@ -44,35 +44,38 @@ type DispatcherOptions struct {
 	// CloseTimeout bounds the wait for a worker to drain and
 	// acknowledge a session close (default 10s).
 	CloseTimeout time.Duration
-	// FailoverTimeout bounds one session's recovery after its worker
-	// dies: finding a surviving worker, reopening, and replaying the
-	// feed history (default 30s). A session deadline shortens it.
+	// FailoverTimeout bounds one partition's recovery after its worker
+	// dies, drains, or stalls: finding a surviving worker, reopening,
+	// and replaying the partition's inputs (default 30s). A session
+	// deadline shortens it.
 	FailoverTimeout time.Duration
-	// ReplayBudget caps the bytes of explicit input windows a session
-	// retains for failover replay (default 32 MiB). Generated inputs
-	// cost nothing — the worker regenerates them from the frame index.
-	// A session past its budget stops being failoverable: its worker
-	// dying becomes a typed serve.ErrSessionLost instead of a replay.
-	// Negative disables failover entirely (PR 4 semantics).
+	// ReplayBudget caps the bytes a session retains for failover replay
+	// (default 32 MiB): explicit input windows plus the items crossing
+	// its cut edges. Generated inputs cost nothing — the worker
+	// regenerates them from the frame index. A session past its budget
+	// stops being recoverable: losing a worker becomes a typed
+	// serve.ErrSessionLost instead of a replay. Negative disables
+	// recovery entirely.
 	ReplayBudget int64
 	// StallTimeout bounds how long a session with frames in flight may
-	// go without any progress (results or credits arriving) before the
-	// dispatcher declares its worker wedged and fails the session over
-	// (default 30s; negative disables). This is the recovery for
-	// messages lost on an otherwise-healthy connection — a dropped
-	// frame, a silently stuck worker — which connection-level health
-	// checks can never see.
+	// go without any progress (results, credits, or cut-edge items
+	// arriving) before the dispatcher declares the partition that has
+	// been silent longest wedged and recovers it on a worker (default
+	// 30s; negative disables). This is the recovery for messages lost
+	// on an otherwise-healthy connection — a dropped frame, a silently
+	// stuck worker — which connection-level health checks can never see.
 	StallTimeout time.Duration
-	// Partitions, when 2 or more, splits each session's compiled graph
-	// across that many workers using internal/placement and co-schedules
-	// one partition per worker, with the cut edges relayed through the
-	// dispatcher (see docs/cluster.md "Partitioned sessions"). Pipelines
-	// whose placement collapses to one partition run whole, as before.
-	// Partitioned sessions recover per partition: within ReplayBudget,
-	// one partition's death re-plans just that partition onto a survivor
-	// and replays its inputs, invisibly to the client. Past the budget —
-	// or on a second failure mid-recovery — the session ends with a
-	// typed serve.ErrSessionLost.
+	// Partitions is the number of workers one session's compiled graph
+	// may be split across. Every session runs as an internal/placement
+	// plan with one partition per worker and the cut edges relayed
+	// through the dispatcher (see docs/cluster.md "Placement"); 0 or 1
+	// means the one-partition plan, the whole graph on one worker. A
+	// fleet with fewer placeable workers, or a pipeline whose placement
+	// collapses, gets a shallower split. Recovery is per partition:
+	// within ReplayBudget, losing a worker re-homes just the partitions
+	// it hosted and replays their inputs, invisibly to the client. Past
+	// the budget — or on a second failure mid-recovery — the session
+	// ends with a typed serve.ErrSessionLost.
 	Partitions int
 }
 
@@ -145,12 +148,11 @@ type Dispatcher struct {
 	admittedCyc  float64
 	admitRejects atomic.Int64
 
-	// plans caches one placement plan per pipeline ID (partitioned mode).
+	// plans caches one placement plan per (pipeline ID, partition count).
 	planMu sync.Mutex
 	plans  map[string]*placement.Plan
 
-	// Failover counters, surfaced by BackendStats under /metrics.
-	sessionsFailedOver   atomic.Int64
+	// Recovery counters, surfaced by BackendStats under /metrics.
 	partitionsFailedOver atomic.Int64
 	sessionsMigrated     atomic.Int64
 	framesReplayed       atomic.Int64
@@ -181,8 +183,8 @@ func NewDispatcher(addrs []string, opts DispatcherOptions) *Dispatcher {
 // a registry.Fleet: a worker registering adds a managed connection and
 // a ring member, a deregistration or lease expiry removes both — and
 // cancels the reconnect loop, so a drained worker is never pinged at a
-// dead address. Breakers, credits, failover, and replay all work
-// exactly as with a static list; only membership and placement differ.
+// dead address. Breakers, failover, and replay all work exactly as
+// with a static list; only membership and placement differ.
 func NewRegisteredDispatcher(fleet *registry.Fleet, opts DispatcherOptions) *Dispatcher {
 	opts.defaults()
 	d := &Dispatcher{
@@ -277,16 +279,7 @@ func (d *Dispatcher) DrainWorker(member string) error {
 	if w == nil {
 		return fmt.Errorf("cluster: unknown worker %q", member)
 	}
-	w.mu.Lock()
-	w.draining = true
-	sessions := make([]placedSession, 0, len(w.sessions))
-	for _, rs := range w.sessions {
-		sessions = append(sessions, rs)
-	}
-	w.mu.Unlock()
-	for _, rs := range sessions {
-		rs.drainClose(w)
-	}
+	w.drain()
 	return nil
 }
 
@@ -350,22 +343,14 @@ func (d *Dispatcher) WaitReady(timeout time.Duration) error {
 	}
 }
 
-// Open implements serve.Backend: place the session on the least-loaded
-// healthy worker, trying the next candidate when one refuses. With no
+// Open implements serve.Backend: lower the session to a placement plan
+// and open one partition per worker, in candidate order. With no
 // placeable worker it sheds with serve.ErrUnavailable (HTTP 503).
 func (d *Dispatcher) Open(p *serve.Pipeline, opts serve.OpenOptions) (serve.SessionHandle, error) {
 	select {
 	case <-d.closed:
 		return nil, fmt.Errorf("%w: dispatcher closed", serve.ErrUnavailable)
 	default:
-	}
-	if d.opts.Partitions >= 2 {
-		h, err := d.openPartitioned(p, opts)
-		if !errors.Is(err, errPlanWhole) {
-			return h, err
-		}
-		// The placement collapsed to one partition: run the session
-		// whole on a single worker, exactly the unpartitioned path.
 	}
 
 	// Admission control (registered mode): the new session's projected
@@ -395,37 +380,29 @@ func (d *Dispatcher) Open(p *serve.Pipeline, opts serve.OpenOptions) (serve.Sess
 		admitted = demand
 	}
 
-	var lastErr error
-	for _, w := range d.candidates(p, opts) {
-		h, err := w.open(p, opts)
-		if err == nil {
-			// Hand the admission hold to the session so failSession —
-			// the single termination funnel — returns it. If the
-			// session already ended (worker died in the gap), its
-			// failSession saw admitted == 0, so the hold is still ours
-			// to release.
-			h.mu.Lock()
-			if h.ended {
-				h.mu.Unlock()
-				if admitted > 0 {
-					d.releaseAdmission(admitted)
-				}
-			} else {
-				h.admitted = admitted
-				h.mu.Unlock()
-			}
-			return h, nil
+	ps, err := d.openSession(p, opts)
+	if err != nil {
+		if admitted > 0 {
+			d.releaseAdmission(admitted)
 		}
-		lastErr = err
+		d.shedTotal.Add(1)
+		return nil, fmt.Errorf("%w: %v", serve.ErrUnavailable, err)
 	}
-	if admitted > 0 {
-		d.releaseAdmission(admitted)
+	// Hand the admission hold to the session so terminate — the single
+	// termination funnel — returns it. If the session already ended (a
+	// worker reported a failure in the gap), its terminate saw
+	// admitted == 0, so the hold is still ours to release.
+	ps.mu.Lock()
+	if ps.ended {
+		ps.mu.Unlock()
+		if admitted > 0 {
+			d.releaseAdmission(admitted)
+		}
+	} else {
+		ps.admitted = admitted
+		ps.mu.Unlock()
 	}
-	d.shedTotal.Add(1)
-	if lastErr != nil {
-		return nil, fmt.Errorf("%w: %v", serve.ErrUnavailable, lastErr)
-	}
-	return nil, fmt.Errorf("%w: no healthy cluster worker", serve.ErrUnavailable)
+	return ps, nil
 }
 
 // candidates orders the placeable workers for one open. Keyed sessions
@@ -540,23 +517,6 @@ func (d *Dispatcher) Readiness() serve.Readiness {
 	return serve.Readiness{Status: "ok"}
 }
 
-// pick returns the placeable worker with the fewest sessions, skipping
-// already-tried candidates.
-func (d *Dispatcher) pick(tried map[*workerRef]bool) *workerRef {
-	var best *workerRef
-	bestLoad := 0
-	for _, w := range d.snapshot() {
-		if tried[w] || !w.placeable() {
-			continue
-		}
-		load := w.sessionCount()
-		if best == nil || load < bestLoad {
-			best, bestLoad = w, load
-		}
-	}
-	return best
-}
-
 // Close tears down every worker connection; in-flight sessions fail.
 func (d *Dispatcher) Close() error {
 	d.closeOnce.Do(func() {
@@ -590,13 +550,12 @@ type WorkerStats struct {
 	DemandCyc       float64 `json:"demand_cycles_per_sec,omitempty"`
 	FramesRouted    int64   `json:"frames_routed"`
 	ResultsReceived int64   `json:"results_received"`
-	CreditsInFlight int     `json:"credits_in_flight"`
 	Reconnects      int64   `json:"reconnects"`
 }
 
-// SessionStats is one open session's row in /metrics: the worker (or
-// workers, for a partitioned session), how many partitions execute it,
-// and the bytes its failover replay log retains.
+// SessionStats is one open session's row in /metrics: the workers
+// hosting its partitions, how many partitions execute it, and the bytes
+// its failover replay log retains.
 type SessionStats struct {
 	Pipeline    string   `json:"pipeline"`
 	Workers     []string `json:"workers"`
@@ -614,13 +573,10 @@ func (d *Dispatcher) BackendStats() any {
 	for _, w := range workers {
 		rows = append(rows, w.stats())
 		w.mu.Lock()
-		placed := make([]placedSession, 0, len(w.sessions))
-		for _, ps := range w.sessions {
-			placed = append(placed, ps)
-		}
+		halves := w.residentLocked()
 		w.mu.Unlock()
-		for _, ps := range placed {
-			row, key := ps.sessionRow()
+		for _, h := range halves {
+			row, key := h.ps.sessionRow()
 			if !seen[key] {
 				seen[key] = true
 				sessions = append(sessions, row)
@@ -637,7 +593,6 @@ func (d *Dispatcher) BackendStats() any {
 	out := map[string]any{
 		"workers":                rows,
 		"sessions":               sessions,
-		"sessions_failed_over":   d.sessionsFailedOver.Load(),
 		"partitions_failed_over": d.partitionsFailedOver.Load(),
 		"sessions_migrated":      d.sessionsMigrated.Load(),
 		"frames_replayed":        d.framesReplayed.Load(),
@@ -657,32 +612,9 @@ func (d *Dispatcher) BackendStats() any {
 	return out
 }
 
-// placedSession is one session's presence on one worker connection:
-// either a whole remoteSession or one partitionHalf of a partitioned
-// session. The worker read loop routes frames through it without
-// knowing which.
-type placedSession interface {
-	deliver(w *workerRef, m *wire.Result)
-	addCredits(n int)
-	edgeFrame(w *workerRef, m *wire.EdgeFrame)
-	edgeCredit(w *workerRef, m *wire.EdgeCredit)
-	onClosed(w *workerRef, m *wire.SessionClosed)
-	failSession(err error)
-	connLost(cause error)
-	drainClose(w *workerRef)
-	creditsOut() int
-	// demandCyc is the session's analysis-priced cycles/sec demand,
-	// the bin-packing weight in registered mode. Must not block: it is
-	// called under the owning worker's lock.
-	demandCyc() float64
-	// sessionRow reports the session's /metrics row and a key that
-	// deduplicates a partitioned session appearing on several workers.
-	sessionRow() (SessionStats, uint64)
-}
-
 // workerRef is the dispatcher's view of one worker: a managed
 // connection with reconnection, health pings, and a circuit breaker,
-// plus the sessions currently placed on it.
+// plus the session partitions currently placed on it.
 type workerRef struct {
 	d      *Dispatcher
 	addr   string
@@ -701,7 +633,7 @@ type workerRef struct {
 	name     string     // from Welcome
 	draining bool       // saw Goaway
 	known    map[string]bool
-	sessions map[uint64]placedSession
+	sessions map[uint64]*partitionHalf
 	pending  map[uint64]chan *wire.SessionOpened
 	ensure   map[string][]chan *wire.PipelineReady
 
@@ -811,7 +743,7 @@ func (w *workerRef) attach(conn *wire.Conn, welcome *wire.Welcome) {
 	for _, id := range welcome.Pipelines {
 		w.known[id] = true
 	}
-	w.sessions = make(map[uint64]placedSession)
+	w.sessions = make(map[uint64]*partitionHalf)
 	w.pending = make(map[uint64]chan *wire.SessionOpened)
 	w.ensure = make(map[string][]chan *wire.PipelineReady)
 	// A successful handshake is the breaker's probe: it closes.
@@ -820,8 +752,8 @@ func (w *workerRef) attach(conn *wire.Conn, welcome *wire.Welcome) {
 	w.lastPong.Store(time.Now().UnixNano())
 }
 
-// detach hands every session placed over the dead connection to the
-// failover path (or fails it, when it cannot be replayed). The cause
+// detach hands every partition placed over the dead connection to the
+// recovery path (or fails its session, when it cannot be replayed). The cause
 // names the worker, so a client whose session could not be recovered
 // sees exactly why its stream died while unrelated sessions keep
 // running.
@@ -842,8 +774,8 @@ func (w *workerRef) detach(conn *wire.Conn, cause error) {
 	w.mu.Unlock()
 
 	err := fmt.Errorf("cluster: worker %s at %s lost: %v", name, w.addr, cause)
-	for _, rs := range sessions {
-		rs.connLost(err)
+	for _, h := range sessions {
+		h.connLost(err)
 	}
 	for _, ch := range pending {
 		close(ch)
@@ -901,8 +833,8 @@ func (w *workerRef) remainingCyc() float64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	rem := w.capacity
-	for _, ps := range w.sessions {
-		rem -= ps.demandCyc()
+	for _, h := range w.sessions {
+		rem -= h.demandCyc()
 	}
 	return rem
 }
@@ -970,22 +902,22 @@ func (w *workerRef) readLoop(conn *wire.Conn) error {
 			}
 		case *wire.Result:
 			w.resultsRecv.Add(1)
-			if rs := w.session(m.SID); rs != nil {
-				rs.deliver(w, m)
+			if h := w.session(m.SID); h != nil {
+				h.deliver(w, m)
 			} else {
 				releaseResult(m)
 			}
 		case *wire.Credit:
-			if rs := w.session(m.SID); rs != nil {
-				rs.addCredits(int(m.N))
+			if h := w.session(m.SID); h != nil {
+				h.addCredits(int(m.N))
 			}
 		case *wire.SessionClosed:
 			w.mu.Lock()
-			rs := w.sessions[m.SID]
+			h := w.sessions[m.SID]
 			delete(w.sessions, m.SID)
 			w.mu.Unlock()
-			if rs != nil {
-				rs.onClosed(w, m)
+			if h != nil {
+				h.onClosed(w, m)
 			}
 			if err := w.drainedHangup(); err != nil {
 				return err
@@ -994,34 +926,25 @@ func (w *workerRef) readLoop(conn *wire.Conn) error {
 			if m.SID == 0 {
 				return fmt.Errorf("worker error: %s", m.Msg)
 			}
-			if rs := w.session(m.SID); rs != nil {
-				rs.failSession(fmt.Errorf("cluster: worker %s: %s", w.addr, m.Msg))
+			if h := w.session(m.SID); h != nil {
+				// A worker-reported execution error is deterministic:
+				// replaying the partition elsewhere would only fail again.
+				h.ps.fail(fmt.Errorf("cluster: worker %s: %s", w.addr, m.Msg))
 			}
 		case *wire.EdgeFrame:
-			if rs := w.session(m.SID); rs != nil {
-				rs.edgeFrame(w, m)
+			if h := w.session(m.SID); h != nil {
+				h.edgeFrame(w, m)
 			} else {
 				releaseWireItems(m.Items)
 			}
 		case *wire.EdgeCredit:
-			if rs := w.session(m.SID); rs != nil {
-				rs.edgeCredit(w, m)
+			if h := w.session(m.SID); h != nil {
+				h.edgeCredit(w, m)
 			}
 		case *wire.Goaway:
-			// The worker is draining: stop placing sessions here and move
-			// every resident session to a survivor (falling back to a
-			// quiesce-and-close when migration is impossible) before the
-			// worker exits.
-			w.mu.Lock()
-			w.draining = true
-			sessions := make([]placedSession, 0, len(w.sessions))
-			for _, rs := range w.sessions {
-				sessions = append(sessions, rs)
-			}
-			w.mu.Unlock()
-			for _, rs := range sessions {
-				rs.drainClose(w)
-			}
+			// The worker is draining: move everything off it before it
+			// exits.
+			w.drain()
 			if err := w.drainedHangup(); err != nil {
 				return err
 			}
@@ -1047,118 +970,33 @@ func (w *workerRef) drainedHangup() error {
 	return nil
 }
 
-func (w *workerRef) session(sid uint64) placedSession {
+func (w *workerRef) session(sid uint64) *partitionHalf {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.sessions[sid]
 }
 
-// open ensures the pipeline exists on the worker, then opens a remote
-// session over the current connection.
-func (w *workerRef) open(p *serve.Pipeline, opts serve.OpenOptions) (*remoteSession, error) {
-	rs := &remoteSession{
-		d:           w.d,
-		p:           p,
-		maxInFlight: opts.MaxInFlight,
-		credits:     opts.MaxInFlight,
-		results:     make(chan *runtime.StreamResult, opts.MaxInFlight+1),
-		done:        make(chan struct{}),
+// drain stops placing sessions on this worker and moves every resident
+// partition to a survivor, falling back to a quiesce-and-close where
+// migration is impossible.
+func (w *workerRef) drain() {
+	w.mu.Lock()
+	w.draining = true
+	halves := w.residentLocked()
+	w.mu.Unlock()
+	for _, h := range halves {
+		h.drainClose(w)
 	}
-	if opts.Deadline > 0 {
-		rs.deadline = time.Now().Add(opts.Deadline)
-	}
-	if w.d.opts.ReplayBudget < 0 {
-		rs.logFull = true // failover disabled by configuration
-	}
-	att, err := w.place(rs)
-	if err != nil {
-		return nil, err
-	}
-	rs.mu.Lock()
-	rs.att = att
-	rs.statsID = att.sid
-	rs.opened = true
-	rs.lastProgress = time.Now()
-	rs.mu.Unlock()
-	if w.d.opts.StallTimeout > 0 {
-		go rs.stallWatch()
-	}
-	return rs, nil
 }
 
-// place opens a worker-side session for rs on this worker and returns
-// the resulting attachment without installing it — the caller decides
-// when feeds may flow (immediately for a first open, only after the
-// history replay for a failover).
-func (w *workerRef) place(rs *remoteSession) (*attachment, error) {
-	w.mu.Lock()
-	conn := w.conn
-	needEnsure := !w.known[rs.p.ID]
-	w.mu.Unlock()
-	if conn == nil {
-		return nil, fmt.Errorf("cluster: worker %s not connected", w.addr)
+// residentLocked snapshots the partitions placed on this worker, for
+// callers that must act on them outside w.mu. Caller holds w.mu.
+func (w *workerRef) residentLocked() []*partitionHalf {
+	halves := make([]*partitionHalf, 0, len(w.sessions))
+	for _, h := range w.sessions {
+		halves = append(halves, h)
 	}
-	if needEnsure {
-		if err := w.ensurePipeline(conn, rs.p); err != nil {
-			return nil, err
-		}
-	}
-
-	var deadlineMs uint32
-	if !rs.deadline.IsZero() {
-		rem := time.Until(rs.deadline)
-		if rem <= 0 {
-			return nil, fmt.Errorf("cluster: session deadline exceeded before open on %s", w.addr)
-		}
-		ms := int64((rem + time.Millisecond - 1) / time.Millisecond)
-		if ms > int64(^uint32(0)) {
-			ms = int64(^uint32(0))
-		}
-		deadlineMs = uint32(ms)
-	}
-
-	sid := w.d.nextSID.Add(1)
-	reply := make(chan *wire.SessionOpened, 1)
-	// Register the session before OpenSession hits the wire: any event
-	// naming this sid afterwards — an unsolicited SessionClosed, a
-	// Goaway drain — finds it in w.sessions instead of landing in an
-	// unregistered gap where it would be silently dropped (leaving the
-	// session to hang until CloseTimeout and the worker's drain to
-	// block until its context expires).
-	w.mu.Lock()
-	if w.conn != conn {
-		w.mu.Unlock()
-		return nil, fmt.Errorf("cluster: worker %s reconnected during open", w.addr)
-	}
-	w.pending[sid] = reply
-	w.sessions[sid] = rs
-	w.mu.Unlock()
-
-	m := &wire.OpenSession{
-		SID:         sid,
-		Pipeline:    rs.p.ID,
-		MaxInFlight: uint32(rs.maxInFlight),
-		DeadlineMs:  deadlineMs,
-	}
-	if err := conn.Write(m); err != nil {
-		w.unregister(conn, sid)
-		conn.Close()
-		return nil, fmt.Errorf("cluster: open on %s: %w", w.addr, err)
-	}
-	select {
-	case m, ok := <-reply:
-		if !ok {
-			return nil, fmt.Errorf("cluster: worker %s lost during open", w.addr)
-		}
-		if m.Err != "" {
-			w.unregister(conn, sid)
-			return nil, fmt.Errorf("cluster: worker %s refused session: %s", w.addr, m.Err)
-		}
-	case <-time.After(w.d.opts.OpenTimeout):
-		w.unregister(conn, sid)
-		return nil, fmt.Errorf("cluster: open on %s timed out after %v", w.addr, w.d.opts.OpenTimeout)
-	}
-	return &attachment{w: w, sid: sid, conn: conn}, nil
+	return halves
 }
 
 // unregister drops a failed open's session and pending entries. When
@@ -1246,27 +1084,24 @@ func (w *workerRef) stats() WorkerStats {
 	if w.halted() {
 		state = "removed"
 	}
-	credits := 0
 	demand := 0.0
-	for _, rs := range w.sessions {
-		credits += rs.creditsOut()
-		demand += rs.demandCyc()
+	for _, h := range w.sessions {
+		demand += h.demandCyc()
 	}
 	member := w.member
 	if member == w.addr {
 		member = "" // static mode: the member column adds nothing
 	}
 	s := WorkerStats{
-		Addr:            w.addr,
-		Name:            w.name,
-		Member:          member,
-		State:           state,
-		Breaker:         w.breakerStateLocked(),
-		Draining:        w.draining,
-		Sessions:        len(w.sessions),
-		CapacityCyc:     w.capacity,
-		DemandCyc:       demand,
-		CreditsInFlight: credits,
+		Addr:        w.addr,
+		Name:        w.name,
+		Member:      member,
+		State:       state,
+		Breaker:     w.breakerStateLocked(),
+		Draining:    w.draining,
+		Sessions:    len(w.sessions),
+		CapacityCyc: w.capacity,
+		DemandCyc:   demand,
 	}
 	w.mu.Unlock()
 	s.FramesRouted = w.framesRouted.Load()
@@ -1283,778 +1118,12 @@ func releaseResult(m *wire.Result) {
 	}
 }
 
-// attachment binds a session to one worker-side session instance: the
-// connection its frames travel on and the SID namespacing them there.
-// Failover replaces the whole attachment atomically; a nil attachment
-// means the session is between workers (feeds see backpressure).
-type attachment struct {
-	w    *workerRef
-	sid  uint64
-	conn *wire.Conn
-}
-
 // logEntry is one fed frame in the session's replay history. Generated
 // frames (nil inputs) carry nothing — the worker regenerates them from
 // the frame index; explicit inputs hold one arena reference per window
 // until the session ends.
 type logEntry struct {
 	inputs []wire.NamedWindow
-}
-
-// remoteSession proxies one streaming session to a worker. It
-// implements serve.SessionHandle with the same error vocabulary as the
-// in-process runtime: ErrQueueFull when out of credits, ErrBadFrame on
-// local input validation, a "timed out" error on Collect deadlines.
-//
-// Failover model: every fed frame is appended to a replay log. When
-// the session's worker dies, the dispatcher reopens it on a surviving
-// worker and replays the entire history from seq 0 — frame generators
-// are keyed by absolute frame index and kernels may carry cross-frame
-// state, so only a full re-run reproduces byte-identical outputs.
-// Results the client already saw arrive again and are deduplicated by
-// seq (at-most-once delivery); fresh results flow as if nothing
-// happened.
-type remoteSession struct {
-	d           *Dispatcher
-	p           *serve.Pipeline
-	maxInFlight int
-	deadline    time.Time // zero = unbounded
-	statsID     uint64    // stable key for the /metrics sessions table
-	admitted    float64   // cycles/sec held from the admission pool; returned when the session ends
-
-	// sendMu orders this session's frames on the wire: TryFeed holds it
-	// from seq assignment through the connection write, so concurrent
-	// feeders cannot interleave Seq order (the worker tears the session
-	// down on any gap), and a CloseSession always follows the last
-	// accepted feed.
-	sendMu sync.Mutex
-
-	mu           sync.Mutex
-	att          *attachment // nil while detached / failing over
-	credits      int
-	lastProgress time.Time // last result/credit arrival, for the stall watchdog
-	fed          int64
-	completed    int64 // results delivered to the results channel (dedup watermark)
-	collected    int64 // results handed to Collect callers
-	log          []logEntry
-	logBytes     int64
-	logFull      bool // replay budget exceeded: no longer failoverable
-	opened       bool // initial placement acknowledged
-	failingOver  bool // a failover goroutine owns recovery right now
-	err          error
-	noFeed       error // feeds refused (worker draining); results still flow
-	ended        bool  // done closed (failure or SessionClosed)
-	closeSent    bool
-
-	results chan *runtime.StreamResult
-	done    chan struct{}
-}
-
-// failSession marks the session dead and frees its replay log; Collect
-// surfaces the error after draining buffered results, feeds fail
-// immediately.
-func (rs *remoteSession) failSession(err error) {
-	rs.mu.Lock()
-	if rs.ended {
-		rs.mu.Unlock()
-		return
-	}
-	rs.ended = true
-	if rs.err == nil {
-		rs.err = err
-	}
-	rs.releaseLogLocked()
-	admitted := rs.admitted
-	rs.admitted = 0
-	rs.mu.Unlock()
-	if admitted > 0 {
-		// Every session termination funnels through here exactly once
-		// (guarded by rs.ended), so the admission pool balances.
-		rs.d.releaseAdmission(admitted)
-	}
-	close(rs.done)
-}
-
-// releaseLogLocked returns every retained replay window to the arena.
-// Caller holds rs.mu. In-flight encodes are safe: they take their own
-// reference under rs.mu before writing.
-func (rs *remoteSession) releaseLogLocked() {
-	for _, e := range rs.log {
-		for _, in := range e.inputs {
-			in.Win.Release()
-		}
-	}
-	rs.log = nil
-	rs.logBytes = 0
-}
-
-// logFeedLocked appends one fed frame to the replay history, taking
-// over the caller's window references. Caller holds rs.mu. Returns
-// false when the frame was not retained — the budget is exhausted and
-// the session just stopped being failoverable (its whole history was
-// released, since a partial history can never replay).
-func (rs *remoteSession) logFeedLocked(entry logEntry) bool {
-	if rs.logFull {
-		return false
-	}
-	var sz int64
-	for _, in := range entry.inputs {
-		sz += int64(in.Win.W) * int64(in.Win.H) * 8
-	}
-	if rs.logBytes+sz > rs.d.opts.ReplayBudget {
-		rs.logFull = true
-		rs.releaseLogLocked()
-		return false
-	}
-	rs.log = append(rs.log, entry)
-	rs.logBytes += sz
-	return true
-}
-
-// connLost reacts to the session's connection dying: recoverable
-// sessions hand off to a failover goroutine, the rest fail with a
-// typed serve.ErrSessionLost. A session whose close already fully
-// drained just completes cleanly.
-func (rs *remoteSession) connLost(cause error) {
-	rs.mu.Lock()
-	if rs.ended {
-		rs.mu.Unlock()
-		return
-	}
-	rs.att = nil
-	rs.credits = 0
-	if rs.failingOver {
-		// The running failover's writes will fail and it retries or
-		// sheds on its own deadline; a second recovery goroutine would
-		// race it.
-		rs.mu.Unlock()
-		return
-	}
-	if !rs.opened {
-		// Initial placement still in flight: open() surfaces the error
-		// and the dispatcher retries placement itself.
-		rs.mu.Unlock()
-		rs.failSession(cause)
-		return
-	}
-	if rs.closeSent && rs.completed == rs.fed {
-		// Everything fed was delivered and the close was already sent;
-		// only the SessionClosed ack died with the worker. That is a
-		// clean shutdown, not a lost session.
-		rs.mu.Unlock()
-		rs.failSession(runtime.ErrSessionClosed)
-		return
-	}
-	if rs.logFull {
-		rs.mu.Unlock()
-		rs.failSession(fmt.Errorf("%w: %v (session past its replay budget)", serve.ErrSessionLost, cause))
-		return
-	}
-	rs.failingOver = true
-	rs.mu.Unlock()
-	go rs.failover(cause, false)
-}
-
-// stallWatch runs for the session's lifetime and recovers it from
-// silent stalls — the failure mode connection health checks cannot
-// see: a frame lost in transit on an otherwise-healthy connection, or
-// a worker that wedged without dying. With frames in flight and no
-// progress (no result, no credit) within StallTimeout, the session
-// detaches from its worker — aborting the wedged worker-side half —
-// and fails over exactly as if the connection had died: the replay
-// resends whatever was lost. While idle it also resyncs credits to
-// the full window, healing a credit grant lost in transit that would
-// otherwise shrink the feed window forever.
-func (rs *remoteSession) stallWatch() {
-	interval := rs.d.opts.StallTimeout / 4
-	if interval < 5*time.Millisecond {
-		interval = 5 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-rs.done:
-			return
-		case <-rs.d.closed:
-			return
-		case <-t.C:
-		}
-		rs.mu.Lock()
-		if rs.ended || rs.att == nil || rs.failingOver {
-			rs.mu.Unlock()
-			continue
-		}
-		if rs.completed >= rs.fed {
-			// Idle: the worker owes nothing, so its queue is empty and
-			// the true window is the full maxInFlight.
-			rs.lastProgress = time.Now()
-			rs.credits = rs.maxInFlight
-			rs.mu.Unlock()
-			continue
-		}
-		if time.Since(rs.lastProgress) <= rs.d.opts.StallTimeout {
-			rs.mu.Unlock()
-			continue
-		}
-		att := rs.att
-		rs.att = nil
-		rs.credits = 0
-		cause := fmt.Errorf("cluster: worker %s stalled: no progress on %d in-flight frames within %v",
-			att.w.addr, rs.fed-rs.completed, rs.d.opts.StallTimeout)
-		recoverable := !rs.logFull
-		if recoverable {
-			rs.failingOver = true
-		}
-		rs.mu.Unlock()
-		// Abort the wedged worker-side session and forget its sid; a
-		// late result or close notice for it now finds nothing. The
-		// writes happen outside rs.mu (unregister takes w.mu, which
-		// stats paths acquire before rs.mu).
-		att.conn.Write(&wire.Error{SID: att.sid, Msg: "session stalled"})
-		att.w.unregister(att.conn, att.sid)
-		if recoverable {
-			go rs.failover(cause, false)
-			continue
-		}
-		rs.failSession(fmt.Errorf("%w: %v (session past its replay budget)", serve.ErrSessionLost, cause))
-	}
-}
-
-// failover reopens the session on a surviving worker and replays its
-// history, retrying across workers until the failover timeout (or the
-// session deadline) expires — then sheds with a typed 503. migration
-// marks a planned move off a draining worker, counted separately from
-// crash recovery in /metrics.
-func (rs *remoteSession) failover(cause error, migration bool) {
-	deadline := time.Now().Add(rs.d.opts.FailoverTimeout)
-	if !rs.deadline.IsZero() && rs.deadline.Before(deadline) {
-		deadline = rs.deadline
-	}
-	lastErr := cause
-	for {
-		select {
-		case <-rs.done:
-			return
-		case <-rs.d.closed:
-			rs.failSession(fmt.Errorf("%w: dispatcher closed during failover: %v", serve.ErrSessionLost, lastErr))
-			return
-		default:
-		}
-		if time.Now().After(deadline) {
-			rs.d.shedTotal.Add(1)
-			rs.failSession(fmt.Errorf("%w: %w: session not recovered within failover window: %v",
-				serve.ErrSessionLost, serve.ErrUnavailable, lastErr))
-			return
-		}
-		w := rs.d.pick(nil)
-		if w == nil {
-			time.Sleep(5 * time.Millisecond)
-			continue
-		}
-		err := rs.reattach(w, deadline)
-		if err == nil {
-			if migration {
-				rs.d.sessionsMigrated.Add(1)
-			} else {
-				rs.d.sessionsFailedOver.Add(1)
-			}
-			return
-		}
-		if errors.Is(err, errSessionEnded) {
-			return
-		}
-		lastErr = err
-	}
-}
-
-// errSessionEnded aborts a replay whose session terminated concurrently
-// (client close timeout, dispatcher shutdown).
-var errSessionEnded = errors.New("session ended during failover")
-
-// reattach opens a fresh worker-side session on w and replays the full
-// feed history from seq 0, paced by the new session's credits. Only
-// after the last historical frame is on the wire does the attachment
-// install and new feeds flow, preserving seq order. Duplicate results
-// produced by the replay are dropped in deliver.
-func (rs *remoteSession) reattach(w *workerRef, deadline time.Time) error {
-	att, err := w.place(rs)
-	if err != nil {
-		return err
-	}
-	abort := func(reason string) {
-		// Tear the half-replayed worker session down and forget it;
-		// a late SessionClosed for this sid finds nothing.
-		att.conn.Write(&wire.Error{SID: att.sid, Msg: reason})
-		w.unregister(att.conn, att.sid)
-	}
-
-	rs.mu.Lock()
-	total := int64(len(rs.log))
-	rs.credits = rs.maxInFlight
-	rs.mu.Unlock()
-
-	for seq := int64(0); seq < total; seq++ {
-		for {
-			rs.mu.Lock()
-			if rs.ended {
-				rs.mu.Unlock()
-				abort("session ended during replay")
-				return errSessionEnded
-			}
-			if rs.credits > 0 {
-				rs.credits--
-				m := &wire.Feed{SID: att.sid, Seq: seq}
-				for _, in := range rs.log[seq].inputs {
-					// Hold an encode reference so a concurrent terminal
-					// release cannot poison the samples mid-write.
-					in.Win.Retain(1)
-					m.Inputs = append(m.Inputs, in)
-				}
-				rs.mu.Unlock()
-				err := att.conn.Write(m)
-				for _, in := range m.Inputs {
-					in.Win.Release()
-				}
-				if err != nil {
-					att.conn.Close()
-					w.unregister(att.conn, att.sid)
-					return fmt.Errorf("cluster: replay to %s: %w", w.addr, err)
-				}
-				w.framesRouted.Add(1)
-				rs.d.framesReplayed.Add(1)
-				break
-			}
-			rs.mu.Unlock()
-			// Waiting on credits that can never arrive is pointless once
-			// the connection under us died; detach already unregistered
-			// the sid, so just report and let the failover loop retry.
-			w.mu.Lock()
-			connAlive := w.conn == att.conn
-			w.mu.Unlock()
-			if !connAlive {
-				return fmt.Errorf("cluster: worker %s lost mid-replay", w.addr)
-			}
-			if time.Now().After(deadline) {
-				abort("replay stalled")
-				return fmt.Errorf("cluster: replay to %s stalled at frame %d/%d", w.addr, seq, total)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-
-	rs.mu.Lock()
-	if rs.ended {
-		rs.mu.Unlock()
-		abort("session ended during replay")
-		return errSessionEnded
-	}
-	rs.att = att
-	rs.failingOver = false
-	rs.lastProgress = time.Now()
-	closeSent := rs.closeSent
-	rs.mu.Unlock()
-	if closeSent {
-		// The client closed while we were between workers; finish the
-		// close on the new attachment, after the last replayed feed.
-		att.conn.Write(&wire.CloseSession{SID: att.sid})
-	}
-	return nil
-}
-
-// onClosed handles the worker's SessionClosed notice: a clean close
-// surfaces ErrSessionClosed, a drain surfaces the draining notice, and
-// a reported failure surfaces that error.
-func (rs *remoteSession) onClosed(w *workerRef, m *wire.SessionClosed) {
-	rs.mu.Lock()
-	noFeed := rs.noFeed
-	rs.mu.Unlock()
-	var err error
-	switch {
-	case m.Err != "":
-		err = fmt.Errorf("cluster: worker %s closed session: %s", w.addr, m.Err)
-	case noFeed != nil:
-		err = noFeed
-	default:
-		err = runtime.ErrSessionClosed
-	}
-	rs.failSession(err)
-}
-
-// drainClose reacts to the worker draining. The preferred path is a
-// live migration: abort the resident instance and reuse the ordinary
-// failover machinery — reopen on a survivor, replay the feed history,
-// dedup the results — so the client's stream continues uninterrupted.
-// When the session cannot migrate (replay budget spent, a failover
-// already running, no surviving worker, or the placement never
-// attached) it falls back to the pre-v7 quiesce-and-close: refuse
-// further feeds, then close so everything already fed flushes.
-func (rs *remoteSession) drainClose(w *workerRef) {
-	rs.mu.Lock()
-	if rs.ended || rs.closeSent {
-		rs.mu.Unlock()
-		return
-	}
-	migratable := rs.att != nil && !rs.failingOver && !rs.logFull && rs.opened
-	rs.mu.Unlock()
-	// pick touches worker locks that order before rs.mu, so probe for a
-	// destination outside the session lock and re-validate after.
-	if migratable && rs.d.pick(nil) != nil {
-		rs.mu.Lock()
-		if !rs.ended && !rs.closeSent && rs.att != nil && !rs.failingOver && !rs.logFull {
-			att := rs.att
-			rs.att = nil
-			rs.credits = 0
-			rs.failingOver = true
-			rs.mu.Unlock()
-			// Abort the resident instance outside rs.mu (unregister takes
-			// w.mu, which stats paths acquire before rs.mu); the replay
-			// regenerates anything it had in flight.
-			att.conn.Write(&wire.Error{SID: att.sid, Msg: "session migrating off draining worker"})
-			att.w.unregister(att.conn, att.sid)
-			go rs.failover(fmt.Errorf("cluster: worker %s at %s draining", w.name, w.addr), true)
-			return
-		}
-		rs.mu.Unlock()
-	}
-	rs.mu.Lock()
-	if rs.ended || rs.closeSent {
-		rs.mu.Unlock()
-		return
-	}
-	if rs.failingOver {
-		// A failover (possibly this very migration, when the drain
-		// heartbeat races the worker's own Goaway) is already moving the
-		// session; it reattaches to a non-draining worker, so closing
-		// here would only end the client's stream early.
-		rs.mu.Unlock()
-		return
-	}
-	if rs.noFeed == nil {
-		rs.noFeed = fmt.Errorf("cluster: worker %s at %s is draining", w.name, w.addr)
-	}
-	rs.closeSent = true
-	detached := rs.att == nil
-	rs.mu.Unlock()
-	if detached {
-		// Initial placement or a torn-down attachment: nothing to close
-		// on this worker.
-		return
-	}
-	// A send failure means the connection died under the close; connLost
-	// owns recovery, and with closeSent set the failover (or the clean
-	// fully-drained path) finishes the close.
-	rs.send(&wire.CloseSession{})
-}
-
-// deliver queues a result for Collect, deduplicating failover replays:
-// completed is the watermark of results already handed over, so a
-// replayed frame below it is dropped (at-most-once) and anything past
-// it is a protocol break. The channel is sized for the credit bound,
-// so a blocked send means the worker broke the protocol.
-func (rs *remoteSession) deliver(w *workerRef, m *wire.Result) {
-	outputs := make(map[string][]frame.Window, len(m.Outputs))
-	for _, out := range m.Outputs {
-		outputs[out.Name] = out.Wins
-	}
-	rs.mu.Lock()
-	if rs.ended || m.Seq < rs.completed {
-		rs.mu.Unlock()
-		serveReleaseOutputs(outputs)
-		return
-	}
-	if m.Seq > rs.completed {
-		rs.mu.Unlock()
-		serveReleaseOutputs(outputs)
-		rs.failSession(fmt.Errorf("cluster: worker %s delivered frame %d, want %d", w.addr, m.Seq, rs.completed))
-		return
-	}
-	rs.completed++
-	rs.lastProgress = time.Now()
-	rs.mu.Unlock()
-	res := &runtime.StreamResult{Seq: m.Seq, Outputs: outputs}
-	select {
-	case rs.results <- res:
-	default:
-		serveReleaseOutputs(outputs)
-		rs.failSession(fmt.Errorf("cluster: worker %s overran the result window", w.addr))
-	}
-}
-
-// edgeFrame and edgeCredit are partition-plane frames; a whole session
-// receiving one means the worker broke the protocol.
-func (rs *remoteSession) edgeFrame(w *workerRef, m *wire.EdgeFrame) {
-	releaseWireItems(m.Items)
-	rs.failSession(fmt.Errorf("cluster: worker %s sent an edge frame to an unpartitioned session", w.addr))
-}
-
-func (rs *remoteSession) edgeCredit(w *workerRef, m *wire.EdgeCredit) {
-	rs.failSession(fmt.Errorf("cluster: worker %s sent an edge credit to an unpartitioned session", w.addr))
-}
-
-func (rs *remoteSession) sessionRow() (SessionStats, uint64) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	row := SessionStats{
-		Pipeline:    rs.p.ID,
-		Partitions:  1,
-		ReplayBytes: rs.logBytes,
-	}
-	if rs.att != nil {
-		row.Workers = []string{rs.att.w.addr}
-	}
-	return row, rs.statsID
-}
-
-func (rs *remoteSession) addCredits(n int) {
-	rs.mu.Lock()
-	rs.credits += n
-	if rs.credits > rs.maxInFlight {
-		rs.credits = rs.maxInFlight
-	}
-	rs.lastProgress = time.Now()
-	rs.mu.Unlock()
-}
-
-func (rs *remoteSession) demandCyc() float64 { return rs.p.CyclesPerSec }
-
-func (rs *remoteSession) creditsOut() int {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	out := rs.maxInFlight - rs.credits
-	if out < 0 {
-		out = 0
-	}
-	return out
-}
-
-// TryFeed validates the frame locally (same checks and error values as
-// runtime.Session), spends a credit, logs the frame for failover
-// replay, and ships it. Zero credits — or a failover in progress —
-// means ErrQueueFull, exactly the local backpressure signal.
-// Ownership matches the local runtime's Feed: on success the transport
-// owns the pooled inputs; with failover enabled they stay retained in
-// the replay log until the session ends, otherwise they release once
-// encoded.
-func (rs *remoteSession) TryFeed(inputs map[string]frame.Window) (int64, error) {
-	if err := validateInputs(rs.p, inputs); err != nil {
-		return 0, err
-	}
-	rs.sendMu.Lock()
-	rs.mu.Lock()
-	if rs.ended {
-		err := rs.err
-		rs.mu.Unlock()
-		rs.sendMu.Unlock()
-		if errors.Is(err, runtime.ErrSessionClosed) {
-			return 0, runtime.ErrSessionClosed
-		}
-		return 0, err
-	}
-	if rs.noFeed != nil {
-		err := rs.noFeed
-		rs.mu.Unlock()
-		rs.sendMu.Unlock()
-		return 0, err
-	}
-	// Three bounds, all ErrQueueFull: a failover in progress (the
-	// session has no wire until the replay lands), credits (the worker
-	// still owes results), and fed-minus-collected (the caller stopped
-	// collecting — the same bound a local session enforces, and what
-	// keeps buffered results within the channel's capacity).
-	if rs.att == nil || rs.credits <= 0 || rs.fed-rs.collected >= int64(rs.maxInFlight) {
-		rs.mu.Unlock()
-		rs.sendMu.Unlock()
-		return 0, runtime.ErrQueueFull
-	}
-	att := rs.att
-	rs.credits--
-	seq := rs.fed
-	rs.fed++
-	rs.lastProgress = time.Now()
-	m := &wire.Feed{SID: att.sid, Seq: seq}
-	var entry logEntry
-	for name, win := range inputs {
-		nw := wire.NamedWindow{Name: name, Win: win}
-		m.Inputs = append(m.Inputs, nw)
-		entry.inputs = append(entry.inputs, nw)
-	}
-	if rs.logFeedLocked(entry) {
-		// The log took over the caller's references; hold an extra
-		// encode reference per window so a concurrent terminal release
-		// cannot poison the samples mid-write.
-		for _, in := range m.Inputs {
-			in.Win.Retain(1)
-		}
-	}
-	rs.mu.Unlock()
-
-	err := att.conn.Write(m)
-	for _, in := range m.Inputs {
-		in.Win.Release()
-	}
-	rs.sendMu.Unlock()
-	if err != nil {
-		// The connection died under the feed. The frame is in the
-		// replay log, so the session's fate rests with connLost: either
-		// a failover replays it or the session fails with a typed
-		// error. Either way this feed was accepted.
-		att.conn.Close()
-	}
-	att.w.framesRouted.Add(1)
-	return seq, nil
-}
-
-// send writes one session-scoped frame over the current attachment,
-// stamping its SID. Caller passes the message with SID zeroed.
-func (rs *remoteSession) send(m wire.Msg) error {
-	rs.sendMu.Lock()
-	defer rs.sendMu.Unlock()
-	rs.mu.Lock()
-	att := rs.att
-	rs.mu.Unlock()
-	if att == nil {
-		return errors.New("connection lost")
-	}
-	switch m := m.(type) {
-	case *wire.CloseSession:
-		m.SID = att.sid
-	case *wire.Feed:
-		m.SID = att.sid
-	}
-	if err := att.conn.Write(m); err != nil {
-		att.conn.Close()
-		return err
-	}
-	return nil
-}
-
-// workerAddr reports the address of the worker currently executing the
-// session, or "" while it is detached (failing over or failed).
-func (rs *remoteSession) workerAddr() string {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if rs.att == nil {
-		return ""
-	}
-	return rs.att.w.addr
-}
-
-func (rs *remoteSession) sessionErr() error {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if rs.err != nil {
-		return rs.err
-	}
-	return errors.New("cluster: session failed")
-}
-
-// Collect returns the next completed frame in order. Its timeout error
-// says "timed out" so the HTTP layer maps it to 504 like a local
-// session's.
-func (rs *remoteSession) Collect(timeout time.Duration) (*runtime.StreamResult, error) {
-	var tc <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		tc = t.C
-	}
-	select {
-	case res := <-rs.results:
-		rs.noteCollected()
-		return res, nil
-	case <-tc:
-		return nil, fmt.Errorf("cluster: session collect timed out after %v", timeout)
-	case <-rs.done:
-		// Results buffered before the failure are still deliverable.
-		select {
-		case res := <-rs.results:
-			rs.noteCollected()
-			return res, nil
-		default:
-		}
-		return nil, rs.sessionErr()
-	}
-}
-
-func (rs *remoteSession) noteCollected() {
-	rs.mu.Lock()
-	rs.collected++
-	rs.mu.Unlock()
-}
-
-// Fed reports frames shipped to the worker.
-func (rs *remoteSession) Fed() int64 {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.fed
-}
-
-// Completed reports results received back from the worker.
-func (rs *remoteSession) Completed() int64 {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.completed
-}
-
-// InFlight reports frames fed but not yet collected by the caller.
-func (rs *remoteSession) InFlight() int64 {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.fed - rs.collected
-}
-
-// Close asks the worker to drain the session and waits for its
-// SessionClosed (bounded by CloseTimeout), then releases any buffered
-// results the caller never collected. It returns the session's failure,
-// if any — a clean shutdown (including one recovered by failover)
-// returns nil.
-func (rs *remoteSession) Close() error {
-	rs.mu.Lock()
-	already := rs.closeSent
-	rs.closeSent = true
-	ended := rs.ended
-	detached := rs.att == nil
-	rs.mu.Unlock()
-	if !already && !ended && !detached {
-		// A send failure means the connection died under the close;
-		// connLost owns recovery and the failover re-sends the close
-		// (closeSent is set). If the session is unrecoverable, connLost
-		// fails it and the wait below returns immediately.
-		rs.send(&wire.CloseSession{})
-	}
-	select {
-	case <-rs.done:
-	case <-time.After(rs.d.opts.CloseTimeout):
-		rs.failSession(fmt.Errorf("cluster: session close not acknowledged within %v",
-			rs.d.opts.CloseTimeout))
-	}
-	// Drop the session from its worker's table (already gone if the
-	// worker reported SessionClosed or the connection died).
-	rs.mu.Lock()
-	att := rs.att
-	rs.mu.Unlock()
-	if att != nil {
-		att.w.mu.Lock()
-		if att.w.sessions != nil {
-			delete(att.w.sessions, att.sid)
-		}
-		att.w.mu.Unlock()
-	}
-	for {
-		select {
-		case res := <-rs.results:
-			serveReleaseOutputs(res.Outputs)
-		default:
-			rs.mu.Lock()
-			err := rs.err
-			rs.mu.Unlock()
-			if errors.Is(err, runtime.ErrSessionClosed) {
-				return nil
-			}
-			return err
-		}
-	}
 }
 
 // validateInputs applies the runtime's feed-time checks locally so bad

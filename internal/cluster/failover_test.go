@@ -135,7 +135,7 @@ func TestClusterSessionFailover(t *testing.T) {
 	}
 
 	// Kill the worker under the session, mid-stream.
-	addr := h.(*remoteSession).workerAddr()
+	addr := sessionWorker(t, h)
 	victim := byAddr[addr]
 	if victim == nil {
 		t.Fatalf("session attached to unknown worker %q", addr)
@@ -158,15 +158,15 @@ func TestClusterSessionFailover(t *testing.T) {
 		t.Fatalf("close after failover: %v", err)
 	}
 
-	if n := dispatcherCounter(d, "sessions_failed_over"); n < 1 {
-		t.Errorf("sessions_failed_over = %d, want >= 1", n)
+	if n := dispatcherCounter(d, "partitions_failed_over"); n < 1 {
+		t.Errorf("partitions_failed_over = %d, want >= 1", n)
 	}
 	if n := dispatcherCounter(d, "frames_replayed"); n < 4 {
 		t.Errorf("frames_replayed = %d, want >= 4 (history at kill time)", n)
 	}
 
 	// The session must have ended up on the survivor.
-	if got := h.(*remoteSession).workerAddr(); got == addr || got == "" {
+	if got := sessionWorker(t, h); got == addr || got == "" {
 		t.Errorf("session attached to %q after failover, want the survivor", got)
 	}
 }
@@ -205,7 +205,7 @@ func TestClusterFailoverReplayOwnership(t *testing.T) {
 	serveReleaseOutputs(res.Outputs)
 
 	feedRetry(t, h, map[string]frame.Window{in.Name(): alloc()})
-	byAddr[h.(*remoteSession).workerAddr()].Close()
+	byAddr[sessionWorker(t, h)].Close()
 
 	// The in-flight frame and one more fed across the failover still
 	// complete.
@@ -278,7 +278,9 @@ func TestClusterFailoverShedsWithoutCapacity(t *testing.T) {
 // closes its session makes Shutdown's context expire, and the error
 // reports the abandoned work.
 func TestWorkerDrainTimeoutAbandoned(t *testing.T) {
-	w := NewWorker(suiteRegistry(t, "5"), WorkerOptions{Name: "drain-timeout"})
+	reg := suiteRegistry(t, "5")
+	p, _ := reg.Get("5")
+	w := NewWorker(reg, WorkerOptions{Name: "drain-timeout"})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +297,11 @@ func TestWorkerDrainTimeoutAbandoned(t *testing.T) {
 	if _, err := c.Handshake(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Write(&wire.OpenSession{SID: 1, Pipeline: "5", MaxInFlight: 2}); err != nil {
+	var nodes []string
+	for _, n := range p.Graph().Nodes() {
+		nodes = append(nodes, n.Name())
+	}
+	if err := c.Write(&wire.OpenPartition{SID: 1, Pipeline: "5", MaxInFlight: 2, Nodes: nodes}); err != nil {
 		t.Fatal(err)
 	}
 	readUntil := func(match func(wire.Msg) bool) {

@@ -1,21 +1,23 @@
 package cluster
 
-// Dispatcher-side partition support: openPartitioned splits one
-// session's compiled graph across the fleet using internal/placement
-// and co-schedules one partition per worker, all-or-nothing. The
-// resulting partitionedSession implements serve.SessionHandle by
-// routing each feed to the partitions owning input nodes, relaying cut
-// edge streams (and their credits) between the workers, and merging
-// per-partition results back into one in-order stream.
+// Dispatcher-side sessions. Every session is a placement plan
+// (internal/placement) executed one partition per worker: openSession
+// splits the compiled graph across the open's candidate workers — into
+// a single partition holding every node when the session runs whole —
+// and co-schedules the partitions all-or-nothing. The resulting
+// partitionedSession implements serve.SessionHandle by routing each
+// feed to the partitions owning input nodes, relaying cut edge streams
+// (and their credits) between the workers, and merging per-partition
+// results back into one in-order stream.
 //
-// Placement is all-or-nothing but failure no longer is: the session
-// logs its feeds and every cut edge's item stream against the replay
-// budget and tracks per-edge delivery/credit watermarks, so when one
-// partition's worker dies (or drains) only that partition is re-planned
-// onto a survivor and replayed — see partition_recover.go. The session
-// ends with a typed serve.ErrSessionLost only when the budget is
-// exhausted, a second partition dies mid-recovery, or no replacement
-// worker appears within the failover window.
+// Placement is all-or-nothing but failure is not: the session logs its
+// feeds and every cut edge's item stream against the replay budget and
+// tracks per-edge delivery/credit watermarks, so when a partition's
+// worker dies, drains, or stalls only that partition is re-homed onto a
+// survivor and replayed — see partition_recover.go. The session ends
+// with a typed serve.ErrSessionLost only when the budget is exhausted,
+// a second partition dies mid-recovery, or no replacement worker
+// appears within the failover window.
 
 import (
 	"errors"
@@ -31,15 +33,11 @@ import (
 	"blockpar/internal/wire"
 )
 
-// errPlanWhole reports a placement that collapsed to one partition;
-// Open falls back to the ordinary whole-session path.
-var errPlanWhole = errors.New("placement collapsed to one partition")
-
 // plan returns the pipeline's placement for an n-way split, computing
 // it on first use. Plans are cached per (pipeline, n): a split depends
 // only on the compiled graph and the target count, and the fixed seed
 // keeps every session of a pipeline on the same split at a given
-// fleet size.
+// fleet size. n == 1 is the trivial plan: every node, no cuts.
 func (d *Dispatcher) plan(p *serve.Pipeline, n int) (*placement.Plan, error) {
 	key := fmt.Sprintf("%s/%d", p.ID, n)
 	d.planMu.Lock()
@@ -56,39 +54,94 @@ func (d *Dispatcher) plan(p *serve.Pipeline, n int) (*placement.Plan, error) {
 	return pl, nil
 }
 
-// openPartitioned places one partition per worker, all-or-nothing: the
-// split spans as many distinct placeable workers as the fleet has
-// right now, capped at the configured partition count, and every
-// already-opened partition is torn down when any open fails. A
-// degraded fleet gets a shallower split — down to a whole session on
-// one worker — instead of a refusal.
-func (d *Dispatcher) openPartitioned(p *serve.Pipeline, opts serve.OpenOptions) (serve.SessionHandle, error) {
-	workers := d.pickDistinct(d.opts.Partitions)
-	if len(workers) < 2 {
-		return nil, errPlanWhole
+// openSession lowers one session to a placement plan over the open's
+// candidate workers (see candidates) and places its partitions,
+// all-or-nothing. The split spans as many candidates as the fleet has
+// right now, capped at the configured partition count; partition i
+// opens on the next untried candidate, and a refusal moves on to the
+// one after — for a one-partition plan, simply "try the next worker".
+// A degraded fleet gets a shallower split, down to the whole graph on
+// one worker, instead of a refusal.
+func (d *Dispatcher) openSession(p *serve.Pipeline, opts serve.OpenOptions) (*partitionedSession, error) {
+	cands := d.candidates(p, opts)
+	if len(cands) == 0 {
+		return nil, errors.New("no healthy cluster worker")
 	}
-	plan, err := d.plan(p, len(workers))
+	plan, err := d.plan(p, min(max(d.opts.Partitions, 1), len(cands)))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	if len(plan.Partitions) < 2 {
-		return nil, errPlanWhole
+	ps := newPartitionedSession(d, p, plan, opts)
+	next := 0
+	for i := range plan.Partitions {
+		placed := false
+		lastErr := errors.New("no candidate worker left")
+		for !placed && next < len(cands) {
+			w := cands[next]
+			next++
+			h, err := w.placePartition(ps, i, 0, nil)
+			if err != nil {
+				lastErr = err
+				continue
+			}
+			ps.mu.Lock()
+			ended, cause, lost := ps.ended, ps.err, h.openLost
+			if !ended && lost == nil {
+				ps.halves = append(ps.halves, h)
+				placed = true
+			}
+			ps.mu.Unlock()
+			if ended {
+				// The session failed while this partition opened; terminate
+				// never saw the new half, so abort it here.
+				h.retire("session ended during co-schedule")
+				// A connection lost mid co-schedule is a placement failure,
+				// not a dead handle. A failure the worker itself reported is
+				// the session's outcome, surfaced by Collect and Close.
+				if errors.Is(cause, serve.ErrSessionLost) {
+					return nil, fmt.Errorf("partition lost during co-schedule: %v", cause)
+				}
+				return ps, nil
+			}
+			if lost != nil {
+				// The worker acknowledged the open, then its connection
+				// died before the half was adopted: try the next one.
+				lastErr = lost
+				continue
+			}
+			// Started here, not after the loop: once adopted, a recovery
+			// may replace the half and start its successor's relay.
+			go h.relay()
+		}
+		if !placed {
+			ps.terminate(fmt.Errorf("%w: partition %d: %v", serve.ErrSessionLost, i, lastErr), true)
+			return nil, fmt.Errorf("partition %d: %v", i, lastErr)
+		}
 	}
-	n := len(plan.Partitions)
-	workers = workers[:n]
+	if d.opts.StallTimeout > 0 {
+		go ps.stallWatch()
+	}
+	return ps, nil
+}
 
+// newPartitionedSession builds the frontend state for one session over
+// plan, before any partition is placed.
+func newPartitionedSession(d *Dispatcher, p *serve.Pipeline, plan *placement.Plan, opts serve.OpenOptions) *partitionedSession {
+	n := len(plan.Partitions)
 	ps := &partitionedSession{
-		d:           d,
-		p:           p,
-		plan:        plan,
-		maxInFlight: opts.MaxInFlight,
-		inputOwner:  make(map[string]int),
-		delivered:   make([]int64, n),
-		bufs:        make([][]map[string][]frame.Window, n),
-		cuts:        make([]cutEdgeState, len(plan.Cuts)),
-		logFull:     d.opts.ReplayBudget < 0,
-		results:     make(chan *runtime.StreamResult, opts.MaxInFlight+1),
-		done:        make(chan struct{}),
+		d:            d,
+		p:            p,
+		plan:         plan,
+		maxInFlight:  opts.MaxInFlight,
+		statsID:      d.nextSID.Add(1),
+		inputOwner:   make(map[string]int),
+		delivered:    make([]int64, n),
+		bufs:         make([][]map[string][]frame.Window, n),
+		cuts:         make([]cutEdgeState, len(plan.Cuts)),
+		logFull:      d.opts.ReplayBudget < 0,
+		lastProgress: time.Now(),
+		results:      make(chan *runtime.StreamResult, opts.MaxInFlight+1),
+		done:         make(chan struct{}),
 	}
 	if opts.Deadline > 0 {
 		ps.deadline = time.Now().Add(opts.Deadline)
@@ -117,56 +170,16 @@ func (d *Dispatcher) openPartitioned(p *serve.Pipeline, opts serve.OpenOptions) 
 	}
 	sort.Ints(ps.feedParts)
 	sort.Ints(ps.outParts)
-
-	for i := 0; i < n; i++ {
-		h, err := workers[i].placePartition(ps, i, opts)
-		if err != nil {
-			ps.abandonOpen()
-			d.shedTotal.Add(1)
-			return nil, fmt.Errorf("%w: partition %d on %s: %v", serve.ErrUnavailable, i, workers[i].addr, err)
-		}
-		ps.halves = append(ps.halves, h)
-	}
-	// A connection may have died while the later partitions opened,
-	// failing the session through connLost before the client ever saw
-	// it; surface that as a placement failure, not a dead handle.
-	ps.mu.Lock()
-	ended, cause := ps.ended, ps.err
-	ps.mu.Unlock()
-	if ended {
-		ps.abandonOpen()
-		d.shedTotal.Add(1)
-		return nil, fmt.Errorf("%w: partition lost during co-schedule: %v", serve.ErrUnavailable, cause)
-	}
-	ps.statsID = ps.halves[0].sid
-	for _, h := range ps.halves {
-		go h.relay()
-	}
-	return ps, nil
+	return ps
 }
 
-// pickDistinct returns up to n distinct placeable workers, least
-// loaded first.
-func (d *Dispatcher) pickDistinct(n int) []*workerRef {
-	var cands []*workerRef
-	for _, w := range d.snapshot() {
-		if w.placeable() {
-			cands = append(cands, w)
-		}
-	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		return cands[i].sessionCount() < cands[j].sessionCount()
-	})
-	if len(cands) > n {
-		cands = cands[:n]
-	}
-	return cands
-}
-
-// placePartition opens partition idx of ps's plan on this worker,
-// registering the half before the OpenPartition frame hits the wire so
-// no event naming its sid can fall into an unregistered gap.
-func (w *workerRef) placePartition(ps *partitionedSession, idx int, opts serve.OpenOptions) (*partitionHalf, error) {
+// placePartition opens partition idx of ps's plan on this worker — a
+// first open, or a recovery resuming the partition at resumeResults
+// with the per-edge credit overrides and skip watermarks in marks. The
+// half registers before the OpenPartition frame hits the wire, so no
+// event naming its sid can fall into an unregistered gap (an
+// unsolicited SessionClosed, a Goaway drain).
+func (w *workerRef) placePartition(ps *partitionedSession, idx int, resumeResults int64, marks map[uint32]edgeAttempt) (*partitionHalf, error) {
 	w.mu.Lock()
 	conn := w.conn
 	needEnsure := !w.known[ps.p.ID]
@@ -180,8 +193,12 @@ func (w *workerRef) placePartition(ps *partitionedSession, idx int, opts serve.O
 		}
 	}
 	var deadlineMs uint32
-	if opts.Deadline > 0 {
-		ms := int64((opts.Deadline + time.Millisecond - 1) / time.Millisecond)
+	if !ps.deadline.IsZero() {
+		rem := time.Until(ps.deadline)
+		if rem <= 0 {
+			return nil, fmt.Errorf("cluster: session deadline exceeded before open on %s", w.addr)
+		}
+		ms := int64((rem + time.Millisecond - 1) / time.Millisecond)
 		if ms > int64(^uint32(0)) {
 			ms = int64(^uint32(0))
 		}
@@ -189,7 +206,7 @@ func (w *workerRef) placePartition(ps *partitionedSession, idx int, opts serve.O
 	}
 
 	sid := w.d.nextSID.Add(1)
-	h := &partitionHalf{ps: ps, idx: idx, w: w, sid: sid, conn: conn}
+	h := &partitionHalf{ps: ps, idx: idx, w: w, sid: sid, conn: conn, heard: time.Now()}
 	h.rcond = sync.NewCond(&h.rmu)
 	reply := make(chan *wire.SessionOpened, 1)
 	w.mu.Lock()
@@ -202,12 +219,13 @@ func (w *workerRef) placePartition(ps *partitionedSession, idx int, opts serve.O
 	w.mu.Unlock()
 
 	m := &wire.OpenPartition{
-		SID:         sid,
-		Pipeline:    ps.p.ID,
-		Partition:   uint32(idx),
-		MaxInFlight: uint32(ps.maxInFlight),
-		DeadlineMs:  deadlineMs,
-		Nodes:       ps.plan.Partitions[idx].Nodes,
+		SID:           sid,
+		Pipeline:      ps.p.ID,
+		Partition:     uint32(idx),
+		MaxInFlight:   uint32(ps.maxInFlight),
+		DeadlineMs:    deadlineMs,
+		ResumeResults: resumeResults,
+		Nodes:         ps.plan.Partitions[idx].Nodes,
 	}
 	for _, c := range ps.plan.Cuts {
 		spec := wire.EdgeSpec{
@@ -220,6 +238,10 @@ func (w *workerRef) placePartition(ps *partitionedSession, idx int, opts serve.O
 			spec.Dir = wire.EdgeIn
 		case c.From:
 			spec.Dir = wire.EdgeOut
+			if mark, ok := marks[c.ID]; ok {
+				spec.Credit = mark.credit
+				m.Resume = append(m.Resume, wire.EdgeResume{Edge: c.ID, SkipItems: mark.skip})
+			}
 		default:
 			continue
 		}
@@ -246,17 +268,20 @@ func (w *workerRef) placePartition(ps *partitionedSession, idx int, opts serve.O
 	return h, nil
 }
 
-// partitionedSession is one session split across several workers. It
-// implements serve.SessionHandle; its per-worker presences are
-// partitionHalf values registered in each worker's session table.
+// partitionedSession is one cluster session: a placement plan whose
+// partitions run on one worker each — a single partition when the
+// session runs whole. It implements serve.SessionHandle; its per-worker
+// presences are partitionHalf values registered in each worker's
+// session table.
 //
-// Flow control is global: TryFeed bounds fed-minus-collected by
-// MaxInFlight, exactly the local session's window. No per-partition
-// credit tracking is needed — a merged result requires every output
-// partition to have finished the frame, which requires every upstream
-// partition to have consumed it, so each worker's feed queue occupancy
-// stays within its maxInFlight+1 capacity. Cut edges pace themselves
-// with their own credit windows, relayed between the halves.
+// Flow control is one window: TryFeed bounds fed-minus-collected by
+// MaxInFlight, exactly the local session's bound, and nothing else
+// gates a feed. No per-partition credit tracking is needed — a merged
+// result requires every output partition to have finished the frame,
+// which requires every upstream partition to have consumed it, so each
+// worker's feed queue occupancy stays within its maxInFlight+1
+// capacity. Cut edges pace themselves with their own credit windows,
+// relayed between the halves.
 type partitionedSession struct {
 	d           *Dispatcher
 	p           *serve.Pipeline
@@ -275,7 +300,7 @@ type partitionedSession struct {
 
 	mu sync.Mutex
 	// halves[i] is partition i's current worker presence; recovery swaps
-	// an entry in place, so reads outside openPartitioned take ps.mu.
+	// an entry in place, so reads outside openSession take ps.mu.
 	halves    []*partitionHalf
 	fed       int64
 	completed int64   // merged results delivered to the results channel
@@ -287,15 +312,19 @@ type partitionedSession struct {
 	bufs      [][]map[string][]frame.Window
 	closedN   int
 	closeSent bool
-	noFeed    error
+	noFeed    error // feeds refused (worker draining); results still flow
 	ended     bool
 	err       error
+	admitted  float64 // cycles/sec held from the admission pool; returned by terminate
+	// lastProgress is the last feed, result, credit, or cut-edge item
+	// the session saw; the stall watchdog measures silence from it.
+	lastProgress time.Time
 
 	// Partition recovery state. feedLog holds every accepted feed (entry
 	// index == seq); cuts holds each cut edge's item log and watermarks.
 	// Both charge logBytes against the dispatcher's ReplayBudget; when it
-	// overflows, logFull releases everything and the session reverts to
-	// the pre-v7 behavior (any partition death is fatal).
+	// overflows, logFull releases everything and any partition death
+	// becomes fatal.
 	feedLog       []logEntry
 	cuts          []cutEdgeState
 	logBytes      int64
@@ -326,20 +355,12 @@ type cutEdgeState struct {
 	eosSent   bool // EOS delivered to the current consumer instance
 }
 
-// abandonOpen tears down whatever placePartition opened when the
-// co-schedule fails partway. Idempotent against a concurrent fail().
-func (ps *partitionedSession) abandonOpen() {
-	for _, h := range ps.halves {
-		h.conn.Write(&wire.Error{SID: h.sid, Msg: "partition co-schedule failed"})
-		h.w.unregister(h.conn, h.sid)
-	}
-}
-
-// terminate ends the session once: buffered partial frames are
-// released, relays stop, and done closes. With notify set (failure
-// paths) every half is also torn out of its worker's table and its
-// worker told to abort — the surviving partitions must not keep
-// running a session whose peer died.
+// terminate ends the session once — every termination funnels through
+// here, so the admission hold is returned exactly once: buffered
+// partial frames are released, relays stop, and done closes. With
+// notify set (failure paths) every half is also torn out of its
+// worker's table and its worker told to abort — the surviving
+// partitions must not keep running a session whose peer died.
 func (ps *partitionedSession) terminate(err error, notify bool) {
 	ps.mu.Lock()
 	if ps.ended {
@@ -358,12 +379,17 @@ func (ps *partitionedSession) terminate(err error, notify bool) {
 	}
 	ps.releaseLogsLocked()
 	halves := append([]*partitionHalf(nil), ps.halves...)
+	admitted := ps.admitted
+	ps.admitted = 0
 	ps.mu.Unlock()
+	if admitted > 0 {
+		ps.d.releaseAdmission(admitted)
+	}
 	for _, h := range halves {
 		h.stopRelay()
 		if notify {
 			h.w.unregister(h.conn, h.sid)
-			h.conn.Write(&wire.Error{SID: h.sid, Msg: "partitioned session failed"})
+			h.conn.Write(&wire.Error{SID: h.sid, Msg: "session failed"})
 		}
 	}
 	close(ps.done)
@@ -447,7 +473,23 @@ func (ps *partitionedSession) sessionErr() error {
 	if ps.err != nil {
 		return ps.err
 	}
-	return errors.New("cluster: partitioned session failed")
+	return errors.New("cluster: session failed")
+}
+
+// sessionRow reports the session's /metrics row.
+func (ps *partitionedSession) sessionRow() (SessionStats, uint64) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	row := SessionStats{
+		Pipeline:    ps.p.ID,
+		Partitions:  len(ps.halves),
+		Workers:     make([]string, 0, len(ps.halves)),
+		ReplayBytes: ps.logBytes,
+	}
+	for _, h := range ps.halves {
+		row.Workers = append(row.Workers, h.w.addr)
+	}
+	return row, ps.statsID
 }
 
 // sendClose ships CloseSession to every half, after any in-flight
@@ -473,10 +515,14 @@ func (ps *partitionedSession) sendClose() {
 	}
 }
 
-// TryFeed routes one frame: each partition owning input nodes gets a
-// Feed carrying its subset of the explicit windows (absent inputs
-// regenerate worker-side from the frame index). The wire encodes
-// copies, so the caller's window references release here.
+// TryFeed validates the frame locally (same checks and error values as
+// runtime.Session) and routes it: each partition owning input nodes
+// gets a Feed carrying its subset of the explicit windows (absent
+// inputs regenerate worker-side from the frame index). A full window —
+// or a recovery in progress — is ErrQueueFull, exactly the local
+// backpressure signal. On success the transport owns the pooled
+// inputs: the replay log retains them until the session ends (with
+// recovery off they release once encoded).
 func (ps *partitionedSession) TryFeed(inputs map[string]frame.Window) (int64, error) {
 	if err := validateInputs(ps.p, inputs); err != nil {
 		return 0, err
@@ -507,19 +553,25 @@ func (ps *partitionedSession) TryFeed(inputs map[string]frame.Window) (int64, er
 	}
 	seq := ps.fed
 	ps.fed++
+	ps.lastProgress = time.Now()
 	// The replay log takes over the caller's references; retain one per
 	// window for the wire writes below. When the log is full the writes
-	// consume the caller's references directly, as before.
+	// consume the caller's references directly.
 	if ps.logFeedLocked(inputs) {
 		for _, win := range inputs {
 			win.Retain(1)
 		}
 	}
-	halves := append([]*partitionHalf(nil), ps.halves...)
+	// Snapshot the feeding halves: recovery swaps entries under ps.mu.
+	var hbuf [4]*partitionHalf
+	halves := hbuf[:0]
+	for _, idx := range ps.feedParts {
+		halves = append(halves, ps.halves[idx])
+	}
 	ps.mu.Unlock()
 
-	for _, idx := range ps.feedParts {
-		h := halves[idx]
+	for i, idx := range ps.feedParts {
+		h := halves[i]
 		m := &wire.Feed{SID: h.sid, Seq: seq}
 		for name, win := range inputs {
 			if ps.inputOwner[name] == idx {
@@ -541,8 +593,10 @@ func (ps *partitionedSession) TryFeed(inputs map[string]frame.Window) (int64, er
 	return seq, nil
 }
 
-// Collect returns the next merged frame in order, mirroring
-// remoteSession.Collect's timeout and post-failure drain semantics.
+// Collect returns the next merged frame in order. Its timeout error
+// says "timed out" so the HTTP layer maps it to 504 like a local
+// session's; after a failure, results buffered before it still drain
+// before the error surfaces.
 func (ps *partitionedSession) Collect(timeout time.Duration) (*runtime.StreamResult, error) {
 	var tc <-chan time.Time
 	if timeout > 0 {
@@ -594,7 +648,9 @@ func (ps *partitionedSession) InFlight() int64 {
 // Close drains every partition: each worker finishes its fed frames,
 // end-of-stream propagates across the cut edges, and once all halves
 // report SessionClosed the session completes. The close timeout
-// escalates to a hard abort of every partition.
+// escalates to a hard abort of every partition. Close returns the
+// session's failure, if any — a clean shutdown (including one
+// recovered by failover) returns nil.
 func (ps *partitionedSession) Close() error {
 	ps.mu.Lock()
 	already := ps.closeSent
@@ -607,7 +663,7 @@ func (ps *partitionedSession) Close() error {
 	select {
 	case <-ps.done:
 	case <-time.After(ps.d.opts.CloseTimeout):
-		ps.fail(fmt.Errorf("cluster: partitioned session close not acknowledged within %v",
+		ps.fail(fmt.Errorf("cluster: session close not acknowledged within %v",
 			ps.d.opts.CloseTimeout))
 	}
 	for {
@@ -627,8 +683,8 @@ func (ps *partitionedSession) Close() error {
 }
 
 // partitionHalf is one partition's presence on its worker connection:
-// the placedSession the worker read loop routes through, plus the
-// relay queue carrying cut-edge traffic addressed to this partition.
+// what the worker read loop routes frames through, plus the relay
+// queue carrying cut-edge traffic addressed to this partition.
 // Relays run on their own goroutine so a read loop never blocks
 // writing to a different worker's connection — two read loops relaying
 // toward each other's connections could otherwise deadlock.
@@ -639,9 +695,17 @@ type partitionHalf struct {
 	sid  uint64
 	conn *wire.Conn
 
-	// credits counts feed credits returned by THIS worker instance,
-	// guarded by ps.mu; replayFeeds paces the feed history against it.
+	// credits counts frames THIS worker instance reported back — its
+	// results and explicit credits — guarded by ps.mu; replayFeeds paces
+	// the feed history against it.
 	credits int64
+	// heard is when this half last showed forward progress (a result, a
+	// credit, or cut-edge items it produced), guarded by ps.mu. The
+	// stall watchdog recovers the half silent longest.
+	heard time.Time
+	// openLost is set, under ps.mu, when the connection died while
+	// openSession was still placing this half; it is then never adopted.
+	openLost error
 
 	rmu    sync.Mutex
 	rcond  *sync.Cond
@@ -710,7 +774,9 @@ func (h *partitionHalf) relay() {
 // deliver merges one partition's per-frame result into the global
 // stream: each output partition's local seq equals the global frame
 // seq (every frame crosses every partition), so frame k completes once
-// all output partitions have delivered k.
+// all output partitions have delivered k. Every result received counts
+// as one of this instance's credits, duplicates included — the worker
+// sends exactly one Result or Credit per frame.
 func (h *partitionHalf) deliver(w *workerRef, m *wire.Result) {
 	ps := h.ps
 	outputs := make(map[string][]frame.Window, len(m.Outputs))
@@ -718,6 +784,7 @@ func (h *partitionHalf) deliver(w *workerRef, m *wire.Result) {
 		outputs[out.Name] = out.Wins
 	}
 	ps.mu.Lock()
+	h.credits++
 	if ps.ended {
 		ps.mu.Unlock()
 		serveReleaseOutputs(outputs)
@@ -733,35 +800,42 @@ func (h *partitionHalf) deliver(w *workerRef, m *wire.Result) {
 		return
 	}
 	if m.Seq != ps.delivered[h.idx] {
-		ps.mu.Unlock()
+		// A gap: result delivered[h.idx] was lost in transit while later
+		// frames were in flight. Recover the partition; its replay
+		// resumes at the lost result. A gap from a replaced half, or from
+		// the partition already under recovery, needs nothing more; one
+		// while another partition recovers is a second failure.
 		serveReleaseOutputs(outputs)
-		ps.fail(fmt.Errorf("cluster: worker %s delivered frame %d of partition %d, want %d",
-			w.addr, m.Seq, h.idx, ps.delivered[h.idx]))
+		cause := fmt.Errorf("cluster: worker %s delivered frame %d of partition %d, want %d",
+			w.addr, m.Seq, h.idx, ps.delivered[h.idx])
+		switch {
+		case ps.halves[h.idx] != h || ps.recovering && ps.recoveringIdx == h.idx:
+			ps.mu.Unlock()
+		case ps.recovering:
+			ps.mu.Unlock()
+			ps.fail(cause)
+		default:
+			h.recoverLostLocked(cause)
+		}
 		return
 	}
 	ps.delivered[h.idx]++
+	h.heard = time.Now()
+	ps.lastProgress = h.heard
 	ps.bufs[h.idx] = append(ps.bufs[h.idx], outputs)
-	var merged []*runtime.StreamResult
-	for {
-		ready := true
-		for _, idx := range ps.outParts {
-			if len(ps.bufs[idx]) == 0 {
-				ready = false
-				break
+	var mbuf [4]*runtime.StreamResult
+	merged := mbuf[:0]
+	for ps.mergeReadyLocked() {
+		// The first output partition's map becomes the merged frame's,
+		// so a session with one output partition merges without copying.
+		first := ps.popLocked(ps.outParts[0])
+		for _, idx := range ps.outParts[1:] {
+			for name, wins := range ps.popLocked(idx) {
+				first[name] = wins
 			}
 		}
-		if !ready {
-			break
-		}
-		res := &runtime.StreamResult{Seq: ps.completed, Outputs: make(map[string][]frame.Window)}
-		for _, idx := range ps.outParts {
-			for name, wins := range ps.bufs[idx][0] {
-				res.Outputs[name] = wins
-			}
-			ps.bufs[idx] = ps.bufs[idx][1:]
-		}
+		merged = append(merged, &runtime.StreamResult{Seq: ps.completed, Outputs: first})
 		ps.completed++
-		merged = append(merged, res)
 	}
 	ps.mu.Unlock()
 	for _, res := range merged {
@@ -774,15 +848,40 @@ func (h *partitionHalf) deliver(w *workerRef, m *wire.Result) {
 	}
 }
 
-// addCredits counts per-partition feed credits. The session's global
-// fed-minus-collected window bounds live flow control on its own, but
-// recovery replays a partition's feed history paced by exactly these
-// credits — each new instance starts at zero, so the counter reflects
-// only what the current instance has accepted.
+// mergeReadyLocked reports whether every output partition has buffered
+// the next frame. Caller holds ps.mu.
+func (ps *partitionedSession) mergeReadyLocked() bool {
+	for _, idx := range ps.outParts {
+		if len(ps.bufs[idx]) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// popLocked dequeues output partition idx's oldest buffered frame,
+// shifting in place so the queue's storage is reused frame after frame.
+// Caller holds ps.mu.
+func (ps *partitionedSession) popLocked(idx int) map[string][]frame.Window {
+	q := ps.bufs[idx]
+	head := q[0]
+	copy(q, q[1:])
+	q[len(q)-1] = nil
+	ps.bufs[idx] = q[:len(q)-1]
+	return head
+}
+
+// addCredits counts feed credits for frames that sent no result (see
+// deliver). The session's fed-minus-collected window bounds live flow
+// control on its own, but recovery replays a partition's feed history
+// paced by exactly these counts — each new instance starts at zero, so
+// the counter reflects only what the current instance has accepted.
 func (h *partitionHalf) addCredits(n int) {
 	ps := h.ps
 	ps.mu.Lock()
 	h.credits += int64(n)
+	h.heard = time.Now()
+	ps.lastProgress = h.heard
 	ps.mu.Unlock()
 }
 
@@ -811,6 +910,8 @@ func (h *partitionHalf) edgeFrame(w *workerRef, m *wire.EdgeFrame) {
 		releaseWireItems(m.Items)
 		return
 	}
+	h.heard = time.Now()
+	ps.lastProgress = h.heard
 	es := &ps.cuts[m.Edge]
 	logged := ps.logEdgeItemsLocked(es, m.Items)
 	recovering := ps.recovering
@@ -920,33 +1021,11 @@ func (h *partitionHalf) onClosed(w *workerRef, m *wire.SessionClosed) {
 	ps.terminate(err, false)
 }
 
-// failSession ends the whole session: a worker-reported execution
-// error is deterministic, so replaying the partition elsewhere would
-// only fail again.
-func (h *partitionHalf) failSession(err error) { h.ps.fail(err) }
-
-func (h *partitionHalf) creditsOut() int { return 0 }
-
-// demandCyc weights each half with the whole pipeline's demand: a
-// partitioned session's kernels span workers, but the analysis prices
-// the graph as a unit and conservative packing beats overcommit.
+// demandCyc weights each half with the whole pipeline's demand, the
+// bin-packing weight in registered mode: a split session's kernels span
+// workers, but the analysis prices the graph as a unit and conservative
+// packing beats overcommit. Must not block: it is called under the
+// owning worker's lock.
 func (h *partitionHalf) demandCyc() float64 { return h.ps.p.CyclesPerSec }
 
-func (h *partitionHalf) sessionRow() (SessionStats, uint64) {
-	ps := h.ps
-	ps.mu.Lock()
-	row := SessionStats{
-		Pipeline:    ps.p.ID,
-		Partitions:  len(ps.halves),
-		Workers:     make([]string, 0, len(ps.halves)),
-		ReplayBytes: ps.logBytes,
-	}
-	for _, hh := range ps.halves {
-		row.Workers = append(row.Workers, hh.w.addr)
-	}
-	ps.mu.Unlock()
-	return row, ps.statsID
-}
-
 var _ serve.SessionHandle = (*partitionedSession)(nil)
-var _ placedSession = (*partitionHalf)(nil)

@@ -1,16 +1,17 @@
 package cluster
 
-// Per-partition recovery and live migration (protocol v7). When one
-// worker of a partitioned session dies or drains, only its partition
-// moves: the frontend re-plans the dead partition onto a survivor,
-// reopens it with ReopenPartition carrying the session's resume
+// Per-partition recovery and live migration — the cluster's one
+// recovery protocol. When a partition's worker dies, drains, or stalls,
+// only that partition moves: the frontend re-homes it onto a survivor,
+// reopens it with an OpenPartition carrying the session's resume
 // watermarks, replays its feed history and inbound cut-edge logs paced
 // by the fresh instance's credit returns, and swallows the replayed
 // instance's re-acknowledgements so the surviving producers' credit
 // windows stay consistent. Downstream, the worker suppresses results
 // below the delivery watermark and the frontend drops anything that
 // still slips through — at-most-once, byte-identical to a session that
-// never lost the worker.
+// never lost the worker. A session that runs whole is the one-partition
+// case: its recovery replays the full feed history on a new worker.
 //
 // Correctness leans on two determinism facts: generators key on the
 // absolute frame index, so a replayed feed history reproduces the exact
@@ -22,12 +23,16 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
+	"blockpar/internal/runtime"
 	"blockpar/internal/serve"
 	"blockpar/internal/wire"
 )
+
+// errSessionEnded aborts a recovery whose session terminated
+// concurrently (client close timeout, dispatcher shutdown).
+var errSessionEnded = errors.New("session ended during failover")
 
 // beginRecoveryLocked flags partition idx as recovering: feeds pause
 // (TryFeed reports ErrQueueFull) and every cut edge feeding idx starts
@@ -45,6 +50,9 @@ func (ps *partitionedSession) beginRecoveryLocked(idx int) {
 // connLost reacts to a partition's worker connection dying. One
 // partition down recovers in place; a second failure mid-recovery, or a
 // session past its replay budget, ends the session with a typed error.
+// A session whose close was sent and whose every frame was already
+// delivered just completes cleanly: only the close acknowledgement
+// died with the worker.
 func (h *partitionHalf) connLost(cause error) {
 	ps := h.ps
 	ps.mu.Lock()
@@ -52,9 +60,16 @@ func (h *partitionHalf) connLost(cause error) {
 		ps.mu.Unlock()
 		return
 	}
+	if h.idx >= len(ps.halves) {
+		// This partition is still being co-scheduled: openSession moves
+		// on to the next candidate, exactly as for a refused open.
+		h.openLost = cause
+		ps.mu.Unlock()
+		return
+	}
 	if len(ps.halves) != len(ps.plan.Partitions) {
-		// Still co-scheduling: openPartitioned surfaces the failure as a
-		// placement error, not a dead handle.
+		// An already-placed partition died mid co-schedule: openSession
+		// surfaces the failure as a placement error, not a dead handle.
 		ps.mu.Unlock()
 		ps.fail(fmt.Errorf("%w: partition %d: %v", serve.ErrSessionLost, h.idx, cause))
 		return
@@ -62,6 +77,11 @@ func (h *partitionHalf) connLost(cause error) {
 	if ps.halves[h.idx] != h {
 		// A stale, already-replaced half; nothing to do.
 		ps.mu.Unlock()
+		return
+	}
+	if ps.closeSent && ps.completed == ps.fed {
+		ps.mu.Unlock()
+		ps.terminate(runtime.ErrSessionClosed, true)
 		return
 	}
 	if ps.recovering {
@@ -91,10 +111,14 @@ func (h *partitionHalf) connLost(cause error) {
 // drainClose migrates this partition off a draining worker: the
 // resident instance is aborted and the ordinary recovery path rebuilds
 // it on a survivor, invisibly to the client. When the session cannot
-// migrate — close already in flight, another recovery running, or the
-// replay budget spent — it falls back to the pre-v7 quiesce-and-close.
+// migrate — close already in flight, the replay budget spent, or no
+// worker to move to — it falls back to quiesce-and-close: refuse
+// further feeds, then close so everything already fed flushes.
 func (h *partitionHalf) drainClose(w *workerRef) {
 	ps := h.ps
+	// The destination probe takes worker locks, which order before
+	// ps.mu; probe first and let the recovery pick for real.
+	movable := ps.pickRecoveryWorker(h.idx) != nil
 	ps.mu.Lock()
 	if ps.ended || len(ps.halves) != len(ps.plan.Partitions) || ps.halves[h.idx] != h {
 		ps.mu.Unlock()
@@ -114,9 +138,9 @@ func (h *partitionHalf) drainClose(w *workerRef) {
 		ps.mu.Unlock()
 		return
 	}
-	if ps.logFull {
+	if ps.logFull || !movable {
 		if ps.noFeed == nil {
-			ps.noFeed = fmt.Errorf("cluster: worker %s is draining", w.addr)
+			ps.noFeed = fmt.Errorf("cluster: worker %s at %s is draining", w.name, w.addr)
 		}
 		ps.closeSent = true
 		ps.mu.Unlock()
@@ -125,19 +149,76 @@ func (h *partitionHalf) drainClose(w *workerRef) {
 	}
 	ps.beginRecoveryLocked(h.idx)
 	ps.mu.Unlock()
-	h.stopRelay()
-	// Abort the resident instance before unregistering its sid: the
-	// worker drops the partition on wire.Error without reporting back,
-	// and unregister may hang up a drained-idle connection.
-	h.conn.Write(&wire.Error{SID: h.sid, Msg: "partition migrating off draining worker"})
-	h.w.unregister(h.conn, h.sid)
+	h.retire("partition migrating off draining worker")
 	go ps.recoverPartition(h.idx, fmt.Errorf("cluster: worker %s draining", w.addr), true)
+}
+
+// stallWatch runs for the session's lifetime and recovers it from
+// silent stalls — the failure mode connection health checks cannot
+// see: a frame lost in transit on an otherwise-healthy connection, or
+// a worker that wedged without dying. With frames in flight and no
+// progress within StallTimeout, the partition silent longest is
+// aborted on its worker and recovered exactly as if its connection had
+// died: the replay resends whatever was lost. A wrong guess costs one
+// invisible replay, and the recovered half's fresh progress points the
+// next check at another suspect.
+func (ps *partitionedSession) stallWatch() {
+	timeout := ps.d.opts.StallTimeout
+	t := time.NewTicker(max(timeout/4, 5*time.Millisecond))
+	defer t.Stop()
+	for {
+		select {
+		case <-ps.done:
+			return
+		case <-ps.d.closed:
+			return
+		case <-t.C:
+		}
+		ps.mu.Lock()
+		if ps.ended || ps.recovering || ps.completed >= ps.fed {
+			// Idle, or a recovery already owns the session: nothing is
+			// owed, so silence is not a stall.
+			ps.lastProgress = time.Now()
+			ps.mu.Unlock()
+			continue
+		}
+		if time.Since(ps.lastProgress) <= timeout {
+			ps.mu.Unlock()
+			continue
+		}
+		victim := ps.halves[0]
+		for _, h := range ps.halves[1:] {
+			if h.heard.Before(victim.heard) {
+				victim = h
+			}
+		}
+		victim.recoverLostLocked(fmt.Errorf("cluster: worker %s stalled: no progress on %d in-flight frames within %v",
+			victim.w.addr, ps.fed-ps.completed, timeout))
+	}
+}
+
+// recoverLostLocked aborts half h on its still-connected worker and
+// recovers it exactly as if the connection had died — the path for a
+// message lost in transit or a wedged worker, found by the stall
+// watchdog or by a gap in the partition's result stream. Caller holds
+// ps.mu, which is released.
+func (h *partitionHalf) recoverLostLocked(cause error) {
+	ps := h.ps
+	if ps.logFull {
+		ps.mu.Unlock()
+		ps.fail(fmt.Errorf("%w: %v (session past its replay budget)", serve.ErrSessionLost, cause))
+		return
+	}
+	ps.beginRecoveryLocked(h.idx)
+	ps.mu.Unlock()
+	h.retire("partition lost in transit or stalled")
+	go ps.recoverPartition(h.idx, cause, false)
 }
 
 // recoverPartition re-homes partition idx: pick a replacement worker,
 // reopen and replay, retry until the failover window closes. Runs on
 // its own goroutine; migration says whether this counts as a live
-// migration (drain) or a failover (crash) in /metrics.
+// migration (drain) or a failover (crash or stall) in /metrics.
 func (ps *partitionedSession) recoverPartition(idx int, cause error, migration bool) {
 	d := ps.d
 	deadline := time.Now().Add(d.opts.FailoverTimeout)
@@ -251,7 +332,7 @@ func (ps *partitionedSession) pickRecoveryWorker(idx int) *workerRef {
 }
 
 // edgeAttempt snapshots one cut edge's watermarks at the start of a
-// recovery attempt, under ps.mu, so the ReopenPartition frame and the
+// recovery attempt, under ps.mu, so the OpenPartition frame and the
 // replay agree on one consistent cut of the stream state.
 type edgeAttempt struct {
 	credit  uint32 // initial window granted to the reopened endpoint
@@ -308,7 +389,7 @@ func (ps *partitionedSession) reopenOn(w *workerRef, idx int, deadline time.Time
 	feedTotal := ps.fed
 	ps.mu.Unlock()
 
-	h2, err := w.placeReopen(ps, idx, resumeResults, marks)
+	h2, err := w.placePartition(ps, idx, resumeResults, marks)
 	if err != nil {
 		return err
 	}
@@ -372,6 +453,7 @@ func (ps *partitionedSession) reopenOn(w *workerRef, idx int, deadline time.Time
 		return errSessionEnded
 	}
 	ps.recovering = false
+	ps.lastProgress = time.Now()
 	closeSent := ps.closeSent
 	ps.mu.Unlock()
 	if closeSent {
@@ -396,101 +478,11 @@ func (h *partitionHalf) retire(reason string) {
 	h.w.unregister(h.conn, h.sid)
 }
 
-// placeReopen opens a replacement instance of partition idx on this
-// worker, mirroring placePartition but with ReopenPartition carrying
-// the resume watermarks and per-edge credit overrides from marks.
-func (w *workerRef) placeReopen(ps *partitionedSession, idx int, resumeResults int64, marks map[uint32]edgeAttempt) (*partitionHalf, error) {
-	w.mu.Lock()
-	conn := w.conn
-	needEnsure := !w.known[ps.p.ID]
-	w.mu.Unlock()
-	if conn == nil {
-		return nil, fmt.Errorf("cluster: worker %s not connected", w.addr)
-	}
-	if needEnsure {
-		if err := w.ensurePipeline(conn, ps.p); err != nil {
-			return nil, err
-		}
-	}
-	var deadlineMs uint32
-	if !ps.deadline.IsZero() {
-		rem := time.Until(ps.deadline)
-		if rem <= 0 {
-			return nil, fmt.Errorf("cluster: session deadline passed during recovery")
-		}
-		ms := int64((rem + time.Millisecond - 1) / time.Millisecond)
-		if ms > int64(^uint32(0)) {
-			ms = int64(^uint32(0))
-		}
-		deadlineMs = uint32(ms)
-	}
-
-	sid := w.d.nextSID.Add(1)
-	h := &partitionHalf{ps: ps, idx: idx, w: w, sid: sid, conn: conn}
-	h.rcond = sync.NewCond(&h.rmu)
-	reply := make(chan *wire.SessionOpened, 1)
-	w.mu.Lock()
-	if w.conn != conn {
-		w.mu.Unlock()
-		return nil, fmt.Errorf("cluster: worker %s reconnected during reopen", w.addr)
-	}
-	w.pending[sid] = reply
-	w.sessions[sid] = h
-	w.mu.Unlock()
-
-	m := &wire.ReopenPartition{
-		SID:           sid,
-		Pipeline:      ps.p.ID,
-		Partition:     uint32(idx),
-		MaxInFlight:   uint32(ps.maxInFlight),
-		DeadlineMs:    deadlineMs,
-		ResumeResults: resumeResults,
-		Nodes:         ps.plan.Partitions[idx].Nodes,
-	}
-	for _, c := range ps.plan.Cuts {
-		spec := wire.EdgeSpec{
-			ID: c.ID, Credit: uint32(c.Credit),
-			FromNode: c.FromNode, FromPort: c.FromPort,
-			ToNode: c.ToNode, ToPort: c.ToPort,
-		}
-		switch idx {
-		case c.To:
-			spec.Dir = wire.EdgeIn
-		case c.From:
-			spec.Dir = wire.EdgeOut
-			mark := marks[c.ID]
-			spec.Credit = mark.credit
-			m.Resume = append(m.Resume, wire.EdgeResume{Edge: c.ID, SkipItems: mark.skip})
-		default:
-			continue
-		}
-		m.Edges = append(m.Edges, spec)
-	}
-	if err := conn.Write(m); err != nil {
-		w.unregister(conn, sid)
-		conn.Close()
-		return nil, fmt.Errorf("cluster: reopen partition on %s: %w", w.addr, err)
-	}
-	select {
-	case r, ok := <-reply:
-		if !ok {
-			return nil, fmt.Errorf("cluster: worker %s lost during reopen", w.addr)
-		}
-		if r.Err != "" {
-			w.unregister(conn, sid)
-			return nil, fmt.Errorf("cluster: worker %s refused reopened partition: %s", w.addr, r.Err)
-		}
-	case <-time.After(w.d.opts.OpenTimeout):
-		w.unregister(conn, sid)
-		return nil, fmt.Errorf("cluster: reopen on %s timed out after %v", w.addr, w.d.opts.OpenTimeout)
-	}
-	return h, nil
-}
-
 // replayFeeds re-delivers the session's feed history to a reopened
-// partition that owns input nodes. Pacing mirrors live flow control:
-// maxInFlight frames up front, extended by each credit the fresh
-// instance returns (h2.credits counts only those — it starts at zero).
+// partition that owns input nodes, paced like the worker's queue:
+// maxInFlight frames up front, extended by each frame the fresh
+// instance reports back as a result or credit (h2.credits counts only
+// those — it starts at zero).
 func (ps *partitionedSession) replayFeeds(h2 *partitionHalf, total int64, deadline time.Time) error {
 	owns := false
 	for _, idx := range ps.feedParts {

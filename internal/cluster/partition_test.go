@@ -54,6 +54,20 @@ func partitionWorker(t *testing.T, workers []*Worker, h *partitionHalf) *Worker 
 	return nil
 }
 
+// splitSession returns h's session state, failing unless the placement
+// really split it across two or more partitions.
+func splitSession(t *testing.T, h serve.SessionHandle) *partitionedSession {
+	t.Helper()
+	ps := h.(*partitionedSession)
+	ps.mu.Lock()
+	n := len(ps.halves)
+	ps.mu.Unlock()
+	if n < 2 {
+		t.Fatalf("session runs %d partition(s); placement did not split pipeline 5", n)
+	}
+	return ps
+}
+
 // TestPartitionedSuiteGoldens is the tentpole acceptance bar: every
 // Figure 13 app streamed through a partitioned session — the graph
 // split across 2 and then 3 workers, cut edges relayed through the
@@ -214,10 +228,7 @@ func TestPartitionedSessionStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	ps, ok := h.(*partitionedSession)
-	if !ok {
-		t.Fatalf("session is %T; placement did not split pipeline 5", h)
-	}
+	ps := splitSession(t, h)
 	rows := d.BackendStats().(map[string]any)["sessions"].([]SessionStats)
 	if len(rows) != 1 {
 		t.Fatalf("got %d session rows, want 1 (deduplicated): %+v", len(rows), rows)
@@ -239,8 +250,9 @@ func TestPartitionedSessionStats(t *testing.T) {
 }
 
 // TestPartitionedInsufficientWorkers: a 2-way split over a fleet with
-// one placeable worker degrades to a whole session on that worker
-// instead of co-locating partitions, refusing service, or hanging.
+// one placeable worker degrades to the one-partition plan on that
+// worker instead of co-locating partitions, refusing service, or
+// hanging.
 func TestPartitionedInsufficientWorkers(t *testing.T) {
 	frontend := suiteRegistry(t, "5")
 	p, _ := frontend.Get("5")
@@ -261,8 +273,12 @@ func TestPartitionedInsufficientWorkers(t *testing.T) {
 		t.Fatalf("2-way split on 1 worker: got %v, want whole-session fallback", err)
 	}
 	defer h.Close()
-	if _, ok := h.(*partitionedSession); ok {
-		t.Fatal("2-way split on 1 worker placed a partitioned session, want whole")
+	ps := h.(*partitionedSession)
+	ps.mu.Lock()
+	parts, cuts := len(ps.halves), len(ps.plan.Cuts)
+	ps.mu.Unlock()
+	if parts != 1 || cuts != 0 {
+		t.Fatalf("2-way split on 1 worker placed %d partitions with %d cuts, want whole (1, 0)", parts, cuts)
 	}
 	const frames = 2
 	if err := streamSession(h, frames, batchFrames(t, app, frames)); err != nil {
@@ -305,10 +321,7 @@ func TestPartitionedChaosKill(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ps, ok := h.(*partitionedSession)
-				if !ok {
-					t.Fatalf("session is %T; placement did not split pipeline 5", h)
-				}
+				ps := splitSession(t, h)
 				ps.mu.Lock()
 				halves := append([]*partitionHalf(nil), ps.halves...)
 				ps.mu.Unlock()
@@ -366,10 +379,7 @@ func TestPartitionedReplayBudgetExceeded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, ok := h.(*partitionedSession)
-	if !ok {
-		t.Fatalf("session is %T; placement did not split pipeline 5", h)
-	}
+	ps := splitSession(t, h)
 	app, err := apps.ByID("5")
 	if err != nil {
 		t.Fatal(err)
@@ -451,10 +461,7 @@ func TestPartitionedDrainMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, ok := h.(*partitionedSession)
-	if !ok {
-		t.Fatalf("session is %T; placement did not split pipeline 5", h)
-	}
+	ps := splitSession(t, h)
 	ps.mu.Lock()
 	halves := append([]*partitionHalf(nil), ps.halves...)
 	ps.mu.Unlock()
@@ -516,10 +523,7 @@ func TestPartitionedRollingDrainColocated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, ok := h.(*partitionedSession)
-	if !ok {
-		t.Fatalf("session is %T; placement did not split pipeline 5", h)
-	}
+	ps := splitSession(t, h)
 	ps.mu.Lock()
 	halves := append([]*partitionHalf(nil), ps.halves...)
 	ps.mu.Unlock()

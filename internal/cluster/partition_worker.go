@@ -1,13 +1,14 @@
 package cluster
 
-// Worker-side partition execution: a partitioned session runs one
-// member subset of a pipeline's compiled graph, with boundary shims
-// splicing its cut edges onto the wire. Inbound cut edges queue
-// decoded items for a runtime.BoundarySource and return credits as the
-// partition consumes; outbound cut edges drain a runtime.BoundarySink
-// through a batching sender paced by the peer's credits. The session
-// itself reuses the ordinary feeder/collector machinery — a partition
-// is just a session whose graph happens to have boundary nodes.
+// Worker-side partition execution: every worker session runs one
+// member subset of a pipeline's compiled graph (all of it, for a
+// session that runs whole), with boundary shims splicing its cut edges
+// onto the wire. Inbound cut edges queue decoded items for a
+// runtime.BoundarySource and return credits as the partition consumes;
+// outbound cut edges drain a runtime.BoundarySink through a batching
+// sender paced by the peer's credits. The session itself is the
+// ordinary feeder/collector machinery — a partition is just a session
+// whose graph may have boundary nodes.
 
 import (
 	"errors"
@@ -30,32 +31,12 @@ const edgeBatchItems = 256
 // the runtime is stopped hard as a last resort.
 const partitionAbortGrace = 2 * time.Second
 
+// openPartition starts one partition of a session. A resumed partition
+// (nonzero watermarks: its previous worker died, drained, or stalled)
+// takes the same path — the runtime re-executes the stream from frame
+// zero to rebuild its deterministic state, while the boundary shims and
+// the collector suppress the prefix the rest of the fleet already saw.
 func (c *workerConn) openPartition(m *wire.OpenPartition) {
-	c.openPartitionResume(m, 0, nil)
-}
-
-// reopenPartition resumes a partition whose previous worker died or
-// drained (protocol v7): the same open path, plus resume watermarks —
-// the runtime re-executes the stream from frame zero to rebuild its
-// deterministic state, while the boundary shims and collector suppress
-// the prefix the rest of the fleet already saw.
-func (c *workerConn) reopenPartition(m *wire.ReopenPartition) {
-	resume := make(map[uint32]wire.EdgeResume, len(m.Resume))
-	for _, er := range m.Resume {
-		resume[er.Edge] = er
-	}
-	c.openPartitionResume(&wire.OpenPartition{
-		SID:         m.SID,
-		Pipeline:    m.Pipeline,
-		Partition:   m.Partition,
-		MaxInFlight: m.MaxInFlight,
-		DeadlineMs:  m.DeadlineMs,
-		Nodes:       m.Nodes,
-		Edges:       m.Edges,
-	}, m.ResumeResults, resume)
-}
-
-func (c *workerConn) openPartitionResume(m *wire.OpenPartition, resumeResults int64, resume map[uint32]wire.EdgeResume) {
 	if c.w.isDraining() {
 		c.send(&wire.SessionOpened{SID: m.SID, Err: "worker draining"})
 		return
@@ -70,11 +51,14 @@ func (c *workerConn) openPartitionResume(m *wire.OpenPartition, resumeResults in
 		c.send(&wire.SessionOpened{SID: m.SID, Err: fmt.Sprintf("max-in-flight %d out of range", m.MaxInFlight)})
 		return
 	}
+	resume := make(map[uint32]wire.EdgeResume, len(m.Resume))
+	for _, er := range m.Resume {
+		resume[er.Edge] = er
+	}
 	s := &workerSession{
 		conn:          c,
 		sid:           m.SID,
-		partitioned:   true,
-		resumeResults: resumeResults,
+		resumeResults: m.ResumeResults,
 		feedq:         make(chan *wire.Feed, maxInFlight+1),
 		abortc:        make(chan struct{}),
 		feederDone:    make(chan struct{}),
@@ -88,10 +72,9 @@ func (c *workerConn) openPartitionResume(m *wire.OpenPartition, resumeResults in
 		return
 	}
 	// A partition with no graph outputs never produces results, so the
-	// ordinary result-driven credit return would starve the frontend's
-	// feed window. Grant the credit at feed acceptance instead — the
-	// bound (frames resident in the feed queue plus the runtime) is the
-	// same one MaxInFlight already enforces.
+	// frontend would never hear about its frames — and a feed replay
+	// paced by what the partition has taken in would stall. Grant the
+	// credit at feed acceptance instead.
 	s.creditFeeds = len(g.Outputs()) == 0
 	for id, er := range resume {
 		oe := s.outEdges[id]
@@ -514,63 +497,4 @@ func (oe *outEdge) sender() {
 			return
 		}
 	}
-}
-
-// drainAndClosePartition is the partition variant of drainAndClose:
-// stop the feeds, then let the pipeline run dry naturally — boundary
-// sources end on peer EOS (or abort), every in-flight window flows to
-// a collector result, a sinkhole, or normal consumption, and the
-// collector exits once the runtime winds down. Only a wedged drain
-// after an abort escalates to a hard runtime stop; the graceful path
-// waits indefinitely (the dispatcher's close timeout escalates to an
-// abort from outside if the session never drains).
-func (s *workerSession) drainAndClosePartition(report bool) {
-	s.qmu.Lock()
-	if !s.closing {
-		s.closing = true
-		close(s.feedq)
-	}
-	s.qmu.Unlock()
-	<-s.feederDone
-	s.rt.Finish()
-
-	abortc := s.abortc
-	var watchdog <-chan time.Time
-	for waiting := true; waiting; {
-		select {
-		case <-s.collectorDone:
-			waiting = false
-		case <-abortc:
-			abortc = nil
-			s.abortEdges()
-			t := time.NewTimer(partitionAbortGrace)
-			defer t.Stop()
-			watchdog = t.C
-		case <-watchdog:
-			watchdog = nil
-			s.rt.Abort(errors.New("cluster: partition drain wedged"))
-		}
-	}
-	s.rt.Close()
-
-	// The collector and the edge senders are separate goroutines; wait
-	// for every sender to flush its end-of-stream frame so SessionClosed
-	// is the last thing this session puts on the wire. The dispatcher
-	// deregisters the partition on SessionClosed — an EOS frame behind
-	// it would be dropped and wedge the consuming partition's drain.
-	// Bounded: the runtime is down, so every sink has signalled
-	// end-of-stream (or the edge aborted) and the senders exit on their
-	// own.
-	for _, oe := range s.outEdges {
-		<-oe.senderDone
-	}
-
-	if s.ttl != nil {
-		s.ttl.Stop()
-	}
-	if report {
-		msg, _ := s.failed()
-		s.conn.send(&wire.SessionClosed{SID: s.sid, Completed: s.collected.Load(), Err: msg})
-	}
-	s.conn.removeSession(s.sid)
 }

@@ -75,7 +75,7 @@ func TestRegisteredPlacementAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frontend %d: open: %v", fe, err)
 		}
-		got := byAddr[h.(*remoteSession).workerAddr()]
+		got := byAddr[sessionWorker(t, h)]
 		if first := d.PlacementFor(key)[0]; got != first {
 			t.Fatalf("frontend %d: keyed session placed on %q, ring says %q", fe, got, first)
 		}
@@ -227,7 +227,7 @@ func TestRegisteredFlapFailover(t *testing.T) {
 	}
 
 	// Crash the worker under the session: no Deregister, just death.
-	addr := h.(*remoteSession).workerAddr()
+	addr := sessionWorker(t, h)
 	var victim *RegisteredWorker
 	for _, rw := range c.Workers {
 		if rw.Addr == addr {

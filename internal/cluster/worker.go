@@ -1,22 +1,28 @@
 // Package cluster is the multi-process execution layer: a bpserve
 // frontend places streaming sessions on bpworker processes and proxies
-// frames over TCP using the internal/wire codec, with credit-based
-// backpressure mirroring the runtime's bounded frame queues.
+// frames over TCP using the internal/wire codec, bounding each session
+// by the same fed-minus-collected window as the runtime's frame queue.
 //
 // The two halves are Worker (this file) — owns a serve.Registry of
 // compiled pipelines and executes sessions on behalf of remote
 // frontends — and Dispatcher (dispatcher.go) — the frontend side,
-// implementing serve.Backend with least-loaded placement, health
-// checks, reconnection, and per-worker circuit breakers.
+// implementing serve.Backend with placement, health checks,
+// reconnection, and per-worker circuit breakers.
 //
-// Failure semantics: when a worker dies mid-stream the dispatcher
-// fails its sessions over to surviving workers, replaying each
-// session's feed history so outputs stay byte-identical and clients
-// observe at-most-once delivery with no error. Sessions that cannot be
-// recovered (no surviving capacity, replay budget exceeded, failover
-// disabled) fail with a typed serve.ErrSessionLost naming the worker;
-// the frontend keeps serving everything else, and the worker may
-// rejoin at the same address. See docs/robustness.md.
+// Every session runs as a placement plan (internal/placement): one
+// partition per worker, with the cut edges between partitions relayed
+// through the frontend. A session that runs whole is the trivial plan,
+// one partition holding every node.
+//
+// Failure semantics: when a worker dies, drains, or stalls mid-stream
+// the dispatcher re-homes each partition it hosted on a surviving
+// worker, replaying the partition's inputs so outputs stay
+// byte-identical and clients observe at-most-once delivery with no
+// error. Sessions that cannot be recovered (no surviving capacity,
+// replay budget exceeded, recovery disabled) fail with a typed
+// serve.ErrSessionLost naming the worker; the frontend keeps serving
+// everything else, and the worker may rejoin at the same address. See
+// docs/robustness.md.
 package cluster
 
 import (
@@ -324,22 +330,18 @@ func (c *workerConn) readLoop() error {
 			// (and other sessions' frames) keep flowing. The frontend
 			// orders open-after-ensure itself.
 			go func(m *wire.EnsurePipeline) { c.send(c.ensure(m)) }(m)
-		case *wire.OpenSession:
-			c.open(m)
 		case *wire.OpenPartition:
 			c.openPartition(m)
-		case *wire.ReopenPartition:
-			c.reopenPartition(m)
 		case *wire.Feed:
 			c.feed(m)
 		case *wire.EdgeFrame:
-			if s := c.session(m.SID); s != nil && s.partitioned {
+			if s := c.session(m.SID); s != nil {
 				s.edgeFrame(m)
 			} else {
 				releaseWireItems(m.Items)
 			}
 		case *wire.EdgeCredit:
-			if s := c.session(m.SID); s != nil && s.partitioned {
+			if s := c.session(m.SID); s != nil {
 				s.edgeCredit(m)
 			}
 		case *wire.CloseSession:
@@ -388,61 +390,6 @@ func (c *workerConn) ensure(m *wire.EnsurePipeline) *wire.PipelineReady {
 	return &wire.PipelineReady{ID: m.ID}
 }
 
-func (c *workerConn) open(m *wire.OpenSession) {
-	if c.w.isDraining() {
-		c.send(&wire.SessionOpened{SID: m.SID, Err: "worker draining"})
-		return
-	}
-	p, ok := c.w.reg.Get(m.Pipeline)
-	if !ok {
-		c.send(&wire.SessionOpened{SID: m.SID, Err: fmt.Sprintf("unknown pipeline %q", m.Pipeline)})
-		return
-	}
-	maxInFlight := int(m.MaxInFlight)
-	if maxInFlight <= 0 || maxInFlight > 1024 {
-		c.send(&wire.SessionOpened{SID: m.SID, Err: fmt.Sprintf("max-in-flight %d out of range", m.MaxInFlight)})
-		return
-	}
-	rt, err := p.NewSession(runtime.SessionOptions{
-		MaxInFlight: maxInFlight,
-		Executor:    c.w.opts.Executor,
-		Workers:     c.w.opts.Workers,
-	})
-	if err != nil {
-		c.send(&wire.SessionOpened{SID: m.SID, Err: err.Error()})
-		return
-	}
-	s := &workerSession{
-		conn:          c,
-		sid:           m.SID,
-		rt:            rt,
-		feedq:         make(chan *wire.Feed, maxInFlight+1),
-		abortc:        make(chan struct{}),
-		feederDone:    make(chan struct{}),
-		collectorDone: make(chan struct{}),
-	}
-	c.mu.Lock()
-	if _, dup := c.sessions[m.SID]; dup {
-		c.mu.Unlock()
-		rt.Close()
-		c.send(&wire.SessionOpened{SID: m.SID, Err: "session id already in use"})
-		return
-	}
-	c.sessions[m.SID] = s
-	c.mu.Unlock()
-	if m.DeadlineMs > 0 {
-		// The frontend's per-session deadline travels with the open, so
-		// a stuck session (or an abandoned replay) cancels here even if
-		// the frontend never says another word.
-		s.ttl = time.AfterFunc(time.Duration(m.DeadlineMs)*time.Millisecond, func() {
-			s.beginAbort(errors.New("session deadline exceeded"), true)
-		})
-	}
-	go s.feeder()
-	go s.collector()
-	c.send(&wire.SessionOpened{SID: m.SID})
-}
-
 func (c *workerConn) feed(m *wire.Feed) {
 	s := c.session(m.SID)
 	if s == nil {
@@ -459,11 +406,11 @@ func (c *workerConn) feed(m *wire.Feed) {
 	case s.feedq <- m:
 		s.qmu.Unlock()
 	default:
-		// The credit protocol bounds feeds to the queue size; overflow
-		// means the frontend broke it.
+		// The frontend's fed-minus-collected window bounds feeds to the
+		// queue size; overflow means it broke the protocol.
 		s.qmu.Unlock()
 		releaseFeed(m)
-		s.beginAbort(errors.New("feed credit overrun"), true)
+		s.beginAbort(errors.New("feed window overrun"), true)
 	}
 }
 
@@ -473,29 +420,25 @@ func releaseFeed(m *wire.Feed) {
 	}
 }
 
-// workerSession is one remote session executing locally: a resident
-// runtime session, a feeder draining the bounded feed queue into it,
-// and a collector flushing completed frames (plus their credits) back
-// to the frontend.
+// workerSession is one partition of a remote session executing
+// locally: a resident runtime session over the partition's sub-graph, a
+// feeder draining the bounded feed queue into it, a collector flushing
+// completed frames back to the frontend, and the cut-edge shims
+// splicing the sub-graph onto the wire (see partition_worker.go).
 type workerSession struct {
 	conn *workerConn
 	sid  uint64
 	rt   *runtime.Session
 
-	// Partitioned sessions (opened by OpenPartition) execute one member
-	// subset of the pipeline graph; their cut edges live in
-	// inEdges/outEdges and their teardown drains naturally instead of
-	// waiting on fed-vs-collected (see partition_worker.go).
-	partitioned bool
-	inEdges     map[uint32]*inEdge
-	outEdges    map[uint32]*outEdge
+	inEdges  map[uint32]*inEdge
+	outEdges map[uint32]*outEdge
 	// resumeResults is the reopen watermark: results below it were
-	// already delivered by the dead instance, so the collector grants
+	// already delivered by a previous instance, so the collector grants
 	// their feed credits without re-sending the result.
 	resumeResults int64
 	// creditFeeds makes the feeder grant a credit per accepted frame:
 	// set for partitions whose sub-graph has no output nodes, which
-	// otherwise never run the collector's result-driven credit return.
+	// never send the results that otherwise count as credits.
 	creditFeeds bool
 
 	qmu     sync.Mutex
@@ -585,9 +528,10 @@ func (s *workerSession) drainQueue() {
 	}
 }
 
-// collector flushes completed frames to the frontend. Each result is
-// followed by a credit, so the frontend's balance tracks the session's
-// real fed-minus-delivered bound.
+// collector flushes completed frames to the frontend. A result doubles
+// as its frame's feed credit; a result suppressed below the resume
+// watermark is replaced by an explicit Credit, so a replaying frontend
+// hears about every frame exactly once.
 func (s *workerSession) collector() {
 	defer close(s.collectorDone)
 	for {
@@ -606,8 +550,9 @@ func (s *workerSession) collector() {
 		s.collected.Add(1)
 		if res.Seq >= s.resumeResults {
 			s.conn.send(encodeResult(s.sid, res))
+		} else {
+			s.conn.send(&wire.Credit{SID: s.sid, N: 1})
 		}
-		s.conn.send(&wire.Credit{SID: s.sid, N: 1})
 	}
 }
 
@@ -619,23 +564,23 @@ func (s *workerSession) beginClose() {
 }
 
 // beginAbort starts the failure teardown: queued feeds are dropped and
-// the session closes as soon as the runtime lets go. A partition also
-// releases its cut edges immediately — a blocked boundary push must
+// the cut edges released immediately — a blocked boundary push must
 // unwedge before the feeder and pipeline can drain.
 func (s *workerSession) beginAbort(err error, report bool) {
 	s.fail(err)
 	s.abortOnce.Do(func() { close(s.abortc) })
-	if s.partitioned {
-		s.abortEdges()
-	}
+	s.abortEdges()
 	s.endOnce.Do(func() { go s.drainAndClose(report) })
 }
 
+// drainAndClose stops the feeds, then lets the pipeline run dry
+// naturally — boundary sources end on peer EOS (or abort), every
+// in-flight window flows to a collector result, a sinkhole, or normal
+// consumption, and the collector exits once the runtime winds down.
+// Only a wedged drain after an abort escalates to a hard runtime stop;
+// the graceful path waits indefinitely (the dispatcher's close timeout
+// escalates to an abort from outside if the session never drains).
 func (s *workerSession) drainAndClose(report bool) {
-	if s.partitioned {
-		s.drainAndClosePartition(report)
-		return
-	}
 	s.qmu.Lock()
 	if !s.closing {
 		s.closing = true
@@ -643,25 +588,38 @@ func (s *workerSession) drainAndClose(report bool) {
 	}
 	s.qmu.Unlock()
 	<-s.feederDone
+	s.rt.Finish()
 
-	// Let the collector flush every completed frame before the runtime
-	// discards uncollected results; a failed session skips the wait.
-	for s.collected.Load() < s.fed.Load() {
-		if _, bad := s.failed(); bad {
-			break
-		}
+	abortc := s.abortc
+	var watchdog <-chan time.Time
+	for waiting := true; waiting; {
 		select {
 		case <-s.collectorDone:
-		case <-time.After(2 * time.Millisecond):
-			continue
+			waiting = false
+		case <-abortc:
+			abortc = nil
+			s.abortEdges()
+			t := time.NewTimer(partitionAbortGrace)
+			defer t.Stop()
+			watchdog = t.C
+		case <-watchdog:
+			watchdog = nil
+			s.rt.Abort(errors.New("cluster: partition drain wedged"))
 		}
-		break
 	}
-	s.abortOnce.Do(func() { close(s.abortc) })
-	if err := s.rt.Close(); err != nil {
-		s.fail(err)
+	s.rt.Close()
+
+	// The collector and the edge senders are separate goroutines; wait
+	// for every sender to flush its end-of-stream frame so SessionClosed
+	// is the last thing this session puts on the wire. The dispatcher
+	// deregisters the partition on SessionClosed — an EOS frame behind
+	// it would be dropped and wedge the consuming partition's drain.
+	// Bounded: the runtime is down, so every sink has signalled
+	// end-of-stream (or the edge aborted) and the senders exit on their
+	// own.
+	for _, oe := range s.outEdges {
+		<-oe.senderDone
 	}
-	<-s.collectorDone
 
 	if s.ttl != nil {
 		s.ttl.Stop()

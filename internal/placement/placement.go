@@ -6,7 +6,7 @@
 // and no dependency cycle may cross a cut — and emits a Plan the
 // cluster dispatcher executes by opening one partition per worker and
 // relaying the cut-edge item streams between them (see docs/cluster.md
-// "Partitioned sessions").
+// "Placement").
 package placement
 
 import (
@@ -87,7 +87,7 @@ func EvenFleet(g *graph.Graph, r *analysis.Result, m machine.Machine, n int) []m
 // compiled for machine m) across the fleet and validates the result.
 // A one-target fleet, or a graph whose co-location constraints
 // collapse onto one target, yields a single-partition plan with no
-// cuts — the caller should then run the session whole.
+// cuts: the session runs whole, the trivial placement.
 func PlanGraph(g *graph.Graph, r *analysis.Result, m machine.Machine, targets []mapping.Target, seed uint64) (*Plan, error) {
 	a, err := mapping.FleetAssign(g, r, m, targets, seed)
 	if err != nil {

@@ -29,8 +29,8 @@ func compiledImageApp(t *testing.T) (*graph.Graph, *analysis.Result) {
 }
 
 // TestPlanSingleWorkerNoCuts: a one-target fleet must produce exactly
-// one partition holding every node and zero cut edges, so the
-// dispatcher can fall back to the ordinary whole-session path.
+// one partition holding every node and zero cut edges — the plan the
+// dispatcher opens for a session that runs whole.
 func TestPlanSingleWorkerNoCuts(t *testing.T) {
 	g, r := compiledImageApp(t)
 	m := machine.Default()
@@ -43,6 +43,10 @@ func TestPlanSingleWorkerNoCuts(t *testing.T) {
 	}
 	if len(p.Partitions[0].Nodes) != len(g.Nodes()) {
 		t.Fatalf("partition holds %d of %d nodes", len(p.Partitions[0].Nodes), len(g.Nodes()))
+	}
+	// The dispatcher opens this plan as is, so it must pass validation.
+	if err := p.Validate(g, r); err != nil {
+		t.Fatalf("one-partition plan fails validation: %v", err)
 	}
 }
 

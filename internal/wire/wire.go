@@ -54,8 +54,13 @@ const Magic uint32 = 0x42505702 // "BPW\x02"
 // integers instead of N separate windows; version 7 adds partitioned
 // failover (ReopenPartition resumes one partition on a survivor with
 // per-edge skip watermarks) and a drain-intent bit on Heartbeat so a
-// worker can announce planned maintenance before it leaves the fleet.
-const Version uint16 = 7
+// worker can announce planned maintenance before it leaves the fleet;
+// version 8 runs every session as a placement plan — OpenSession is
+// gone (a whole session is one partition with no cut edges),
+// OpenPartition absorbs ReopenPartition's resume watermarks (zero on a
+// first open), and a Result counts as its frame's feed credit, so
+// Credit flows only for suppressed results and output-less partitions.
+const Version uint16 = 8
 
 // MaxFrame bounds a single frame's encoded size; a length prefix past
 // it is treated as corruption and kills the connection before any

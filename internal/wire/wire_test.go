@@ -146,7 +146,9 @@ func sampleMsgs() []Msg {
 		&EnsurePipeline{ID: "edges", Source: "json", Desc: []byte(`{"name":"edges"}`)},
 		&PipelineReady{ID: "edges"},
 		&PipelineReady{ID: "bad", Err: "compile failed"},
-		&OpenSession{SID: 7, Pipeline: "1", MaxInFlight: 8, DeadlineMs: 30_000},
+		// A session that runs whole: the one-partition plan, every node, no cuts.
+		&OpenPartition{SID: 7, Pipeline: "1", MaxInFlight: 8, DeadlineMs: 30_000,
+			Nodes: []string{"src", "sobel", "thresh", "sink"}},
 		&SessionOpened{SID: 7},
 		&Feed{SID: 7, Seq: 3, Inputs: []NamedWindow{
 			{Name: "in", Win: frame.FromRows([][]float64{{1, 2}, {3, 4}})},
@@ -183,7 +185,7 @@ func sampleMsgs() []Msg {
 		&Heartbeat{Sessions: 3, CyclesPerSec: 1.5e6},
 		&Heartbeat{Sessions: 1, CyclesPerSec: 4e5, Draining: true},
 		&Deregister{Reason: "draining"},
-		&ReopenPartition{SID: 7, Pipeline: "1", Partition: 1, MaxInFlight: 8, DeadlineMs: 30_000,
+		&OpenPartition{SID: 7, Pipeline: "1", Partition: 1, MaxInFlight: 8, DeadlineMs: 30_000,
 			ResumeResults: 12,
 			Nodes:         []string{"sobel", "thresh"},
 			Edges: []EdgeSpec{
@@ -392,6 +394,16 @@ func TestDecodeUnknownType(t *testing.T) {
 	if _, err := Decode(MsgType(200), nil); err == nil || !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("unknown type decoded: %v", err)
 	}
+	// The v7 OpenSession (5) and ReopenPartition (23) codes are retired,
+	// not reassigned: a stale peer's frame must not decode as anything.
+	for _, code := range []MsgType{5, 23} {
+		if _, err := Decode(code, make([]byte, 64)); err == nil || !errors.Is(err, ErrCorrupt) {
+			t.Errorf("retired type %d decoded: %v", code, err)
+		}
+		if code.String() != "unknown" {
+			t.Errorf("retired type %d names itself %q", code, code)
+		}
+	}
 }
 
 // TestWriteRejectsOverflowingCounts checks a message whose element count
@@ -445,6 +457,10 @@ func TestWriteRejectsOverflowingEdgeCounts(t *testing.T) {
 	op = &OpenPartition{SID: 1, Pipeline: "1", Edges: make([]EdgeSpec, 1<<16)}
 	if err := ca.Write(op); err == nil {
 		t.Fatal("write accepted an open-partition with 65536 edges")
+	}
+	op = &OpenPartition{SID: 1, Pipeline: "1", Resume: make([]EdgeResume, 1<<16)}
+	if err := ca.Write(op); err == nil {
+		t.Fatal("write accepted an open-partition with 65536 resume marks")
 	}
 
 	go func() { ca.Write(&Ping{Nonce: 6}) }()
