@@ -215,14 +215,12 @@ const (
 // served, pool hits, windows live, and bytes parked in the pool.
 type PoolStats = frame.PoolStats
 
-// Zero-copy data-plane controls: SetZeroCopy toggles pooled,
-// view-based window storage (on by default); PoolUsage snapshots the
-// arena counters; SetPoison enables use-after-release NaN poisoning
-// for debugging kernel ownership bugs.
+// Data-plane controls: PoolUsage snapshots the arena counters;
+// SetPoison enables use-after-release NaN poisoning for debugging
+// kernel ownership bugs.
 var (
-	SetZeroCopy = frame.SetZeroCopy
-	PoolUsage   = frame.Stats
-	SetPoison   = frame.SetPoison
+	PoolUsage = frame.Stats
+	SetPoison = frame.SetPoison
 )
 
 // Mapping and timing simulation.

@@ -129,16 +129,17 @@ func run(cfg serveConfig) error {
 	}
 
 	var backend serve.Backend
+	dopts := cluster.DispatcherOptions{
+		ReplayBudget: cfg.replayBudget,
+		StallTimeout: cfg.stallTimeout,
+		Partitions:   cfg.partitions,
+	}
 	switch {
 	case cfg.registryAddr != "" && clusterAddrs != "":
 		return fmt.Errorf("-registry and -cluster are mutually exclusive: membership comes from self-registration or a static list, not both")
-	case cfg.registryAddr != "" && cfg.partitions > 1:
-		// Admission control and ring placement act on whole sessions;
-		// the partitioned path keeps its static-fleet planner.
-		return fmt.Errorf("-registry does not combine with -partitions; use -cluster for partitioned fleets")
 	case cfg.registryAddr != "":
 		// Self-registered fleet: host the registration listener, follow
-		// its membership events with a ring-placing dispatcher.
+		// its membership events with a dispatcher.
 		fleet := registry.NewFleet(registry.FleetOptions{
 			Frontend: addr,
 			Lease:    cfg.lease,
@@ -152,21 +153,13 @@ func run(cfg serveConfig) error {
 			return err
 		}
 		fleet.Serve(rln)
-		d := cluster.NewRegisteredDispatcher(fleet, cluster.DispatcherOptions{
-			ReplayBudget: cfg.replayBudget,
-			StallTimeout: cfg.stallTimeout,
-		})
+		d := cluster.NewRegisteredDispatcher(fleet, dopts)
 		defer d.Close()
 		backend = d
 		fmt.Printf("bpserve registry listening on %s (workers self-register; sessions 503 until one joins)\n", cfg.registryAddr)
-	}
-	if clusterAddrs != "" {
+	case clusterAddrs != "":
 		addrs := strings.Split(clusterAddrs, ",")
-		d := cluster.NewDispatcher(addrs, cluster.DispatcherOptions{
-			ReplayBudget: cfg.replayBudget,
-			StallTimeout: cfg.stallTimeout,
-			Partitions:   cfg.partitions,
-		})
+		d := cluster.NewDispatcher(addrs, dopts)
 		defer d.Close()
 		// Workers may still be starting; warn rather than fail, since
 		// the dispatcher reconnects in the background.
@@ -174,11 +167,10 @@ func run(cfg serveConfig) error {
 			fmt.Fprintf(os.Stderr, "bpserve: %v (continuing; sessions 503 until a worker connects)\n", err)
 		}
 		backend = d
-		if cfg.partitions > 1 {
-			fmt.Printf("bpserve partitioning sessions across %d cluster workers (up to %d partitions each)\n", len(addrs), cfg.partitions)
-		} else {
-			fmt.Printf("bpserve placing sessions on %d cluster workers\n", len(addrs))
-		}
+		fmt.Printf("bpserve placing sessions on %d cluster workers\n", len(addrs))
+	}
+	if backend != nil && cfg.partitions > 1 {
+		fmt.Printf("bpserve splitting each session across up to %d workers\n", cfg.partitions)
 	}
 
 	srv := serve.NewServer(reg, serve.Options{

@@ -148,9 +148,9 @@ func streamSession(h serve.SessionHandle, frames int, want map[string][][]frame.
 // TestClusterSuiteGoldens is the acceptance bar: every Figure 13 app
 // streamed through the full wire path — frontend dispatcher, TCP
 // loopback, worker-side session — produces frames byte-identical to the
-// batch runtime, with poisoning and the zero-copy plane on (see
-// poison_test.go). The worker starts with an empty registry, so the
-// test also covers EnsurePipeline's suite compilation.
+// batch runtime, with poisoning on (see poison_test.go). The worker
+// starts with an empty registry, so the test also covers
+// EnsurePipeline's suite compilation.
 func TestClusterSuiteGoldens(t *testing.T) {
 	frontend := suiteRegistry(t)
 	worker := NewWorker(serve.NewRegistry(machine.Embedded()), WorkerOptions{Name: "golden"})

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sort"
 	"sync"
@@ -127,23 +128,21 @@ type Dispatcher struct {
 	opts    DispatcherOptions
 	nextSID atomic.Uint64
 
-	// Membership. Static dispatchers fix it at construction; registered
-	// dispatchers mutate it as fleet events arrive, so every reader
-	// goes through snapshot().
+	// Membership: a fleet of named members, each on the consistent-hash
+	// ring and each declaring a capacity in cycles/sec (0 = unpriced).
+	// A static address list fixes the fleet at construction; a
+	// registry.Fleet changes it as events arrive, so every reader goes
+	// through snapshot(). Placement and admission read only this, never
+	// how a member joined.
 	wmu     sync.RWMutex
 	workers []*workerRef
 	byName  map[string]*workerRef // member name → ref
-	ring    *registry.Ring        // non-nil in registered mode
+	ring    *registry.Ring
 
-	// registered marks a dispatcher whose membership follows a
-	// registry.Fleet: placement consults the consistent-hash ring for
-	// keyed sessions, bin-packs keyless ones by analysis cycles/sec,
-	// and admission control gates opens on fleet capacity.
-	registered  bool
-	unsubscribe func()
+	unsubscribe func() // stops following a registry.Fleet; nil for a static list
 
-	// Admission accounting (registered mode): cycles/sec admitted by
-	// this frontend, compared against the fleet's registered capacity.
+	// Admission accounting: cycles/sec admitted by this frontend,
+	// compared against the fleet's declared capacity.
 	admitMu      sync.Mutex
 	admittedCyc  float64
 	admitRejects atomic.Int64
@@ -162,39 +161,38 @@ type Dispatcher struct {
 	closed    chan struct{}
 }
 
-// NewDispatcher starts one connection manager per worker address. The
-// managers connect in the background; use WaitReady to block until the
-// cluster can place sessions.
+// NewDispatcher builds a fleet whose members never change: one
+// unpriced member per worker address, named by the address. The
+// connection managers connect in the background; use WaitReady to block
+// until the cluster can place sessions.
 func NewDispatcher(addrs []string, opts DispatcherOptions) *Dispatcher {
-	opts.defaults()
-	d := &Dispatcher{
-		opts:   opts,
-		byName: make(map[string]*workerRef),
-		plans:  make(map[string]*placement.Plan),
-		closed: make(chan struct{}),
-	}
+	d := newDispatcher(opts)
 	for _, addr := range addrs {
 		d.AddWorker(addr, addr, 0)
 	}
 	return d
 }
 
+func newDispatcher(opts DispatcherOptions) *Dispatcher {
+	opts.defaults()
+	return &Dispatcher{
+		opts:   opts,
+		byName: make(map[string]*workerRef),
+		ring:   registry.NewRing(0),
+		plans:  make(map[string]*placement.Plan),
+		closed: make(chan struct{}),
+	}
+}
+
 // NewRegisteredDispatcher builds a dispatcher whose membership follows
 // a registry.Fleet: a worker registering adds a managed connection and
 // a ring member, a deregistration or lease expiry removes both — and
 // cancels the reconnect loop, so a drained worker is never pinged at a
-// dead address. Breakers, failover, and replay all work exactly as
-// with a static list; only membership and placement differ.
+// dead address. Members declare their capacity when they register;
+// placement, admission, breakers, failover, and replay all work exactly
+// as with a static list.
 func NewRegisteredDispatcher(fleet *registry.Fleet, opts DispatcherOptions) *Dispatcher {
-	opts.defaults()
-	d := &Dispatcher{
-		opts:       opts,
-		byName:     make(map[string]*workerRef),
-		ring:       registry.NewRing(0),
-		registered: true,
-		plans:      make(map[string]*placement.Plan),
-		closed:     make(chan struct{}),
-	}
+	d := newDispatcher(opts)
 	ch, cancel := fleet.Subscribe()
 	d.unsubscribe = cancel
 	go func() {
@@ -242,9 +240,7 @@ func (d *Dispatcher) AddWorker(member, addr string, capacityCyc float64) {
 	w := &workerRef{d: d, addr: addr, member: member, capacity: capacityCyc, stop: make(chan struct{})}
 	d.workers = append(d.workers, w)
 	d.byName[member] = w
-	if d.ring != nil {
-		d.ring.Add(member)
-	}
+	d.ring.Add(member)
 	d.wmu.Unlock()
 	go w.manage()
 }
@@ -269,9 +265,9 @@ func (d *Dispatcher) RemoveWorker(member string) {
 // placements land on it and every resident session migrates to a
 // survivor (falling back to a quiesce-and-close when it cannot). The
 // worker process itself keeps running — this is the frontend half of a
-// planned drain, reached from a draining heartbeat in registered mode,
-// the worker's own Goaway, or the /drain-worker admin endpoint. In
-// static mode the member name is the worker's address.
+// planned drain, reached from a registered member's draining heartbeat,
+// the worker's own Goaway, or the /drain-worker admin endpoint. A static
+// list member is named by its address.
 func (d *Dispatcher) DrainWorker(member string) error {
 	d.wmu.RLock()
 	w := d.byName[member]
@@ -293,9 +289,7 @@ func (d *Dispatcher) removeLocked(w *workerRef) {
 			break
 		}
 	}
-	if d.ring != nil {
-		d.ring.Remove(w.member)
-	}
+	d.ring.Remove(w.member)
 }
 
 // PlaceableWorkers reports how many members can take a session right
@@ -310,15 +304,12 @@ func (d *Dispatcher) PlaceableWorkers() int {
 	return n
 }
 
-// PlacementFor reports the ring's preference order for a session key —
-// every frontend sharing the fleet computes the same answer. Empty in
-// static mode.
+// PlacementFor reports the ring's preference order for a session key
+// over every member — every frontend sharing the fleet computes the
+// same answer.
 func (d *Dispatcher) PlacementFor(key string) []string {
 	d.wmu.RLock()
 	defer d.wmu.RUnlock()
-	if d.ring == nil {
-		return nil
-	}
 	return d.ring.LookupN(key, d.ring.Len())
 }
 
@@ -353,32 +344,29 @@ func (d *Dispatcher) Open(p *serve.Pipeline, opts serve.OpenOptions) (serve.Sess
 	default:
 	}
 
-	// Admission control (registered mode): the new session's projected
-	// demand — Σ over its nodes of analysis cycles/sec — must fit in
-	// the fleet's registered capacity alongside everything this
-	// frontend already admitted. A healthy-but-full fleet rejects with
-	// the 429 retry contract, not a 503.
-	var admitted float64
-	if d.registered {
-		demand := p.CyclesPerSec
-		capacity := d.fleetCapacity()
-		if len(d.snapshot()) == 0 {
-			// An empty fleet is unavailable, not full: the 503 retry
-			// contract, matching Readiness, not the 429 one.
-			return nil, fmt.Errorf("%w: no workers registered with the fleet", serve.ErrUnavailable)
-		}
-		d.admitMu.Lock()
-		if demand > 0 && d.admittedCyc+demand > capacity {
-			have := capacity - d.admittedCyc
-			d.admitMu.Unlock()
-			d.admitRejects.Add(1)
-			return nil, fmt.Errorf("%w: pipeline %s needs %.3g cycles/s, fleet has %.3g of %.3g free",
-				serve.ErrOverloaded, p.ID, demand, have, capacity)
-		}
-		d.admittedCyc += demand
-		d.admitMu.Unlock()
-		admitted = demand
+	// Admission control: the new session's projected demand — Σ over
+	// its nodes of analysis cycles/sec — must fit in the fleet's
+	// declared capacity alongside everything this frontend already
+	// admitted. A fleet with no declared capacity (a static address
+	// list) admits everything. A healthy-but-full fleet rejects with the
+	// 429 retry contract, not a 503.
+	if len(d.snapshot()) == 0 {
+		// An empty fleet is unavailable, not full: the 503 retry
+		// contract, matching Readiness, not the 429 one.
+		return nil, fmt.Errorf("%w: the fleet has no workers", serve.ErrUnavailable)
 	}
+	admitted := p.CyclesPerSec
+	capacity := d.fleetCapacity()
+	d.admitMu.Lock()
+	if capacity > 0 && admitted > 0 && d.admittedCyc+admitted > capacity {
+		have := capacity - d.admittedCyc
+		d.admitMu.Unlock()
+		d.admitRejects.Add(1)
+		return nil, fmt.Errorf("%w: pipeline %s needs %.3g cycles/s, fleet has %.3g of %.3g free",
+			serve.ErrOverloaded, p.ID, admitted, have, capacity)
+	}
+	d.admittedCyc += admitted
+	d.admitMu.Unlock()
 
 	ps, err := d.openSession(p, opts)
 	if err != nil {
@@ -405,64 +393,72 @@ func (d *Dispatcher) Open(p *serve.Pipeline, opts serve.OpenOptions) (serve.Sess
 	return ps, nil
 }
 
-// candidates orders the placeable workers for one open. Keyed sessions
-// in registered mode walk the consistent-hash ring, so every frontend
-// sharing the fleet agrees where a key lives; keyless registered
-// sessions bin-pack by analysis cycles/sec (best fit: the busiest
-// worker the session still fits on, the paper's Section V greedy
-// multiplexing lifted from PEs to workers); everything else tries
-// least-loaded first, the static behavior.
+// candidates orders the placeable workers for one open, by one rule in
+// every fleet. Keyed sessions walk the consistent-hash ring, so every
+// frontend sharing the fleet agrees where a key lives. Keyless sessions
+// sort with placesBefore.
 func (d *Dispatcher) candidates(p *serve.Pipeline, opts serve.OpenOptions) []*workerRef {
-	if d.registered && opts.Key != "" {
+	var members []*workerRef
+	if opts.Key == "" {
+		members = d.snapshot()
+	} else {
 		d.wmu.RLock()
-		order := d.ring.LookupN(opts.Key, d.ring.Len())
-		refs := make([]*workerRef, 0, len(order))
-		for _, name := range order {
-			if w := d.byName[name]; w != nil {
-				refs = append(refs, w)
-			}
+		for _, name := range d.ring.LookupN(opts.Key, d.ring.Len()) {
+			members = append(members, d.byName[name])
 		}
 		d.wmu.RUnlock()
-		placeable := refs[:0]
-		for _, w := range refs {
-			if w.placeable() {
-				placeable = append(placeable, w)
-			}
-		}
-		return placeable
 	}
-
-	var cands []*workerRef
-	for _, w := range d.snapshot() {
+	var cands []candidate
+	for _, w := range members {
 		if w.placeable() {
-			cands = append(cands, w)
+			room, parts := w.load()
+			cands = append(cands, candidate{w, room, parts})
 		}
 	}
-	if d.registered && p.CyclesPerSec > 0 {
-		demand := p.CyclesPerSec
+	if opts.Key == "" {
 		sort.SliceStable(cands, func(i, j int) bool {
-			ri := cands[i].remainingCyc()
-			rj := cands[j].remainingCyc()
-			fi, fj := ri >= demand, rj >= demand
-			if fi != fj {
-				return fi // workers the session fits on come first
-			}
-			if fi {
-				return ri < rj // tightest fit first packs sessions together
-			}
-			return ri > rj // nothing fits: most headroom first
+			return cands[i].placesBefore(cands[j], p.CyclesPerSec)
 		})
-		return cands
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		return cands[i].sessionCount() < cands[j].sessionCount()
-	})
-	return cands
+	refs := make([]*workerRef, len(cands))
+	for i, c := range cands {
+		refs[i] = c.w
+	}
+	return refs
 }
 
-// fleetCapacity sums the registered cycles/sec of every current
-// member. Membership — not momentary connectivity — defines capacity:
-// a worker mid-reconnect still holds its lease and its share.
+// candidate is one placeable worker's load, snapshotted once per open.
+type candidate struct {
+	w     *workerRef
+	room  float64 // declared capacity left; +Inf for an unpriced member
+	parts int     // open partitions
+}
+
+// placesBefore orders keyless candidates for a session demanding demand
+// cycles/sec: members the session fits on first, the tightest fit among
+// them (best fit, the paper's Section V greedy multiplexing lifted from
+// PEs to workers), the most room when nothing fits, and then the fewest
+// open partitions. An unpriced member fits everything with room to
+// spare, so a fleet of them — every static address list — orders
+// least-loaded; an unpriced session (demand 0) does too.
+func (c candidate) placesBefore(o candidate, demand float64) bool {
+	if demand > 0 && c.room != o.room {
+		cf, of := c.room >= demand, o.room >= demand
+		if cf != of {
+			return cf
+		}
+		if cf {
+			return c.room < o.room
+		}
+		return c.room > o.room
+	}
+	return c.parts < o.parts
+}
+
+// fleetCapacity sums the declared cycles/sec of every current member;
+// unpriced members add nothing. Membership — not momentary
+// connectivity — defines capacity: a worker mid-reconnect still holds
+// its lease and its share.
 func (d *Dispatcher) fleetCapacity() float64 {
 	total := 0.0
 	for _, w := range d.snapshot() {
@@ -496,13 +492,12 @@ func (d *Dispatcher) Readiness() serve.Readiness {
 		}
 	}
 	total := len(workers)
-	if d.registered && total == 0 {
+	switch {
+	case total == 0:
 		return serve.Readiness{
 			Status: "unavailable",
-			Detail: "no workers registered with the fleet",
+			Detail: "the fleet has no workers",
 		}
-	}
-	switch {
 	case up == 0:
 		return serve.Readiness{
 			Status: "unavailable",
@@ -590,26 +585,23 @@ func (d *Dispatcher) BackendStats() any {
 		}
 		return sessions[i].Partitions < sessions[j].Partitions
 	})
-	out := map[string]any{
+	d.admitMu.Lock()
+	admitted := d.admittedCyc
+	d.admitMu.Unlock()
+	return map[string]any{
 		"workers":                rows,
 		"sessions":               sessions,
 		"partitions_failed_over": d.partitionsFailedOver.Load(),
 		"sessions_migrated":      d.sessionsMigrated.Load(),
 		"frames_replayed":        d.framesReplayed.Load(),
 		"shed_total":             d.shedTotal.Load(),
-	}
-	if d.registered {
-		d.admitMu.Lock()
-		admitted := d.admittedCyc
-		d.admitMu.Unlock()
-		out["fleet"] = map[string]any{
+		"fleet": map[string]any{
 			"members":                 len(workers),
 			"capacity_cycles_per_sec": d.fleetCapacity(),
 			"admitted_cycles_per_sec": admitted,
 			"admission_rejects":       d.admitRejects.Load(),
-		}
+		},
 	}
-	return out
 }
 
 // workerRef is the dispatcher's view of one worker: a managed
@@ -618,7 +610,7 @@ func (d *Dispatcher) BackendStats() any {
 type workerRef struct {
 	d      *Dispatcher
 	addr   string
-	member string // ring identity (registration name; the address in static mode)
+	member string // ring identity: the registration name, or a static list member's address
 
 	// stop cancels the manage loop: closed when the member deregisters
 	// (or the dispatcher closes it out of the fleet), so a removed
@@ -627,7 +619,7 @@ type workerRef struct {
 	stopOnce sync.Once
 
 	mu       sync.Mutex
-	capacity float64    // registered cycles/sec (0 in static mode)
+	capacity float64    // declared cycles/sec; 0 = unpriced
 	conn     *wire.Conn // nil while disconnected
 	epoch    uint64     // bumped per successful connect
 	name     string     // from Welcome
@@ -826,23 +818,26 @@ func (w *workerRef) placeable() bool {
 	return w.conn != nil && !w.draining && w.breakerStateLocked() != "open"
 }
 
-// remainingCyc reports the capacity left after the analysis-priced
-// demand of every session currently placed here — the bin-packing
-// signal in registered mode.
-func (w *workerRef) remainingCyc() float64 {
+// load reports the placement signals: the declared capacity left after
+// the analysis-priced demand of every partition placed here (+Inf for an
+// unpriced member), and how many partitions that is.
+func (w *workerRef) load() (room float64, parts int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	rem := w.capacity
-	for _, h := range w.sessions {
-		rem -= h.demandCyc()
+	if w.capacity <= 0 {
+		return math.Inf(1), len(w.sessions)
 	}
-	return rem
+	return w.capacity - w.demandLocked(), len(w.sessions)
 }
 
-func (w *workerRef) sessionCount() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.sessions)
+// demandLocked sums the analysis-priced demand of the partitions placed
+// here. Caller holds w.mu.
+func (w *workerRef) demandLocked() float64 {
+	demand := 0.0
+	for _, h := range w.sessions {
+		demand += h.demandCyc()
+	}
+	return demand
 }
 
 func (w *workerRef) pingLoop(conn *wire.Conn, stop chan struct{}) {
@@ -1084,24 +1079,16 @@ func (w *workerRef) stats() WorkerStats {
 	if w.halted() {
 		state = "removed"
 	}
-	demand := 0.0
-	for _, h := range w.sessions {
-		demand += h.demandCyc()
-	}
-	member := w.member
-	if member == w.addr {
-		member = "" // static mode: the member column adds nothing
-	}
 	s := WorkerStats{
 		Addr:        w.addr,
 		Name:        w.name,
-		Member:      member,
+		Member:      w.member,
 		State:       state,
 		Breaker:     w.breakerStateLocked(),
 		Draining:    w.draining,
 		Sessions:    len(w.sessions),
 		CapacityCyc: w.capacity,
-		DemandCyc:   demand,
+		DemandCyc:   w.demandLocked(),
 	}
 	w.mu.Unlock()
 	s.FramesRouted = w.framesRouted.Load()

@@ -12,25 +12,11 @@ import (
 // Loopback starts a worker on a loopback TCP listener and a
 // single-worker dispatcher connected to it — the in-process harness the
 // conformance driver, the cluster tests, and BenchmarkClusterLoopback
-// use to exercise the full wire path without spawning processes. The
-// returned stop function tears both down.
+// use to exercise the full wire path without spawning processes. It is
+// LoopbackFleet of one; the returned stop function tears both down.
 func Loopback(w *Worker, dopts DispatcherOptions) (*Dispatcher, func(), error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, nil, err
-	}
-	go w.Serve(ln)
-	d := NewDispatcher([]string{ln.Addr().String()}, dopts)
-	if err := d.WaitReady(5 * time.Second); err != nil {
-		d.Close()
-		w.Close()
-		return nil, nil, err
-	}
-	stop := func() {
-		d.Close()
-		w.Close()
-	}
-	return d, stop, nil
+	d, _, stop, err := LoopbackFleet(1, dopts, func(int) *Worker { return w })
+	return d, stop, err
 }
 
 // LoopbackFleet starts n workers, each on its own loopback listener,
@@ -68,16 +54,7 @@ func LoopbackFleet(n int, dopts DispatcherOptions, mk func(i int) *Worker) (*Dis
 	}
 	d := NewDispatcher(addrs, dopts)
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		up := 0
-		for _, w := range d.snapshot() {
-			if w.placeable() {
-				up++
-			}
-		}
-		if up == n {
-			break
-		}
+	for up := d.PlaceableWorkers(); up < n; up = d.PlaceableWorkers() {
 		if time.Now().After(deadline) {
 			d.Close()
 			cleanup()

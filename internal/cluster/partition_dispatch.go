@@ -1021,11 +1021,10 @@ func (h *partitionHalf) onClosed(w *workerRef, m *wire.SessionClosed) {
 	ps.terminate(err, false)
 }
 
-// demandCyc weights each half with the whole pipeline's demand, the
-// bin-packing weight in registered mode: a split session's kernels span
-// workers, but the analysis prices the graph as a unit and conservative
-// packing beats overcommit. Must not block: it is called under the
+// demandCyc is the analysis-priced demand of the nodes this half runs —
+// its partition's share, so a session's halves sum to the pipeline's
+// demand however it is split. Must not block: it is called under the
 // owning worker's lock.
-func (h *partitionHalf) demandCyc() float64 { return h.ps.p.CyclesPerSec }
+func (h *partitionHalf) demandCyc() float64 { return h.ps.plan.Partitions[h.idx].CyclesPerSec }
 
 var _ serve.SessionHandle = (*partitionedSession)(nil)

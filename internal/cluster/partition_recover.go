@@ -316,7 +316,7 @@ func (ps *partitionedSession) pickRecoveryWorker(idx int) *workerRef {
 		if !w.placeable() {
 			continue
 		}
-		load := w.sessionCount()
+		_, load := w.load()
 		if !resident[w] {
 			if distinct == nil || load < dLoad {
 				distinct, dLoad = w, load

@@ -72,9 +72,9 @@ func splitSession(t *testing.T, h serve.SessionHandle) *partitionedSession {
 // Figure 13 app streamed through a partitioned session — the graph
 // split across 2 and then 3 workers, cut edges relayed through the
 // dispatcher — produces frames byte-identical to the batch runtime,
-// with poisoning and the zero-copy plane on (see poison_test.go).
-// Pipelines whose placement collapses run whole; at least one app must
-// genuinely partition or the test is vacuous.
+// with poisoning on (see poison_test.go). Pipelines whose placement
+// collapses run whole; at least one app must genuinely partition or the
+// test is vacuous.
 func TestPartitionedSuiteGoldens(t *testing.T) {
 	for _, workers := range []int{2, 3} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -216,7 +216,10 @@ func TestPartitionedBackpressure(t *testing.T) {
 // TestPartitionedSessionStats checks the /metrics sessions table: one
 // deduplicated row per open partitioned session listing every hosting
 // worker, the partition count, and zero replay bytes (nothing has been
-// fed yet, so the failover log is empty).
+// fed yet, so the failover log is empty). Each half is priced at its own
+// partition's demand, so the worker rows sum to the pipeline's demand
+// once — the figure the fleet's admission accounting holds — not once
+// per partition.
 func TestPartitionedSessionStats(t *testing.T) {
 	frontend := suiteRegistry(t, "5")
 	p, _ := frontend.Get("5")
@@ -246,6 +249,12 @@ func TestPartitionedSessionStats(t *testing.T) {
 			t.Errorf("worker %s hosts two partitions of one session", addr)
 		}
 		seen[addr] = true
+	}
+	if workers := workerDemand(d); !sameCyc(workers, p.CyclesPerSec) {
+		t.Errorf("worker rows sum to %.6g cycles/s, want the pipeline's %.6g", workers, p.CyclesPerSec)
+	}
+	if admitted := fleetAdmitted(t, d); !sameCyc(admitted, p.CyclesPerSec) {
+		t.Errorf("fleet admitted %.6g cycles/s, want %.6g", admitted, p.CyclesPerSec)
 	}
 }
 
@@ -483,7 +492,7 @@ func TestPartitionedDrainMigration(t *testing.T) {
 	waitCondition(t, "migration counter to tick", func() bool {
 		return dispatcherCounter(d, "sessions_migrated") >= 1
 	})
-	if n := victim.sessionCount(); n != 0 {
+	if _, n := victim.load(); n != 0 {
 		t.Errorf("drained worker still hosts %d sessions", n)
 	}
 	if err := h.Close(); err != nil {
@@ -584,7 +593,7 @@ func TestPartitionedRollingDrainColocated(t *testing.T) {
 	waitCondition(t, "both partitions to migrate", func() bool {
 		return dispatcherCounter(d, "sessions_migrated") >= 2
 	})
-	if n := host.sessionCount(); n != 0 {
+	if _, n := host.load(); n != 0 {
 		t.Errorf("drained worker ref still tracks %d sessions", n)
 	}
 	waitCondition(t, "drained worker process to empty", func() bool {

@@ -143,12 +143,10 @@ func TestReleaseThenReusePoisoning(t *testing.T) {
 	}
 }
 
-func TestAllocFallbackWhenDisabled(t *testing.T) {
-	prev := SetZeroCopy(false)
-	defer SetZeroCopy(prev)
-	w := Alloc(4, 4)
+func TestAllocFallbackOutsideArena(t *testing.T) {
+	w := Alloc(1<<maxBucketLog/8+1, 1)
 	if w.Pooled() {
-		t.Fatal("Alloc pooled a window with zero-copy disabled")
+		t.Fatal("Alloc pooled a window larger than the arena's biggest bucket")
 	}
 	// Protocol calls must be no-ops on unpooled windows.
 	w.Retain(3)

@@ -35,9 +35,6 @@ func (s *stubEngine) stopNotify()                      {}
 // heap allocations per send, and every consumer must observe the same
 // backing storage.
 func TestBroadcastSendAllocFree(t *testing.T) {
-	prev := frame.SetZeroCopy(true)
-	defer frame.SetZeroCopy(prev)
-
 	g := graph.New("bcast-alloc")
 	in := g.AddInput("Input", geom.Sz(8, 4), geom.Sz(1, 1), geom.FInt(10))
 	tos := make([]*graph.Port, 3)

@@ -499,57 +499,31 @@ func (c *runCtx) Recv(input string) (graph.Item, bool) {
 
 // emitFrame chunks one frame into scan-order items with end-of-line
 // and end-of-frame tokens (paper §II-C: these two tokens are generated
-// automatically by the data inputs). With zero-copy enabled the chunks
-// are stride-aware views of img — zero allocations per item — so img
-// must stay immutable while the frame is in flight.
+// automatically by the data inputs). The chunks are stride-aware views
+// of img — zero allocations per item — so img must stay immutable while
+// the frame is in flight.
 //
 // emitFrame takes ownership of img when it is pooled (a frame decoded
-// off the cluster wire, for instance): each emitted view carries its
-// own reference to the shared backing — the chunk count minus one
+// off the cluster wire, for instance): each emitted item carries its
+// own reference to the shared backing — the item count minus one
 // retained here plus the caller's original — so the standard
 // release-after-consume protocol returns the storage to the arena
-// exactly when the last chunk has been consumed. In copy mode the
-// chunks are independent, and the caller's reference is released once
-// the frame has been chunked.
+// exactly when the last chunk has been consumed.
 func (ex *executor) emitFrame(out *graph.Port, fw, fh, cw, ch int, img frame.Window, f int64) {
-	zero := frame.ZeroCopy()
 	cols, rows := fw/cw, fh/ch
-	if zero && cols > 1 {
-		// Row-batched chunking: one physical item per chunk row instead
-		// of one per chunk. Each batch carries one reference; send
-		// retains whatever extra its fan-out (or per-edge splitting)
-		// needs, so the backing returns to the arena exactly when the
-		// last logical chunk is consumed.
-		if rows > 1 {
-			img.Retain(rows - 1)
-		}
-		row := f * int64(rows)
-		b := graph.Batch{N: int32(cols), Sx: int32(cw), Bw: int32(cw)}
-		for y := 0; y+ch <= fh; y += ch {
-			ex.send(out, graph.BatchItem(img.View(0, y, fw, ch), b))
-			ex.send(out, graph.TokenItem(token.EOL(row)))
-			row++
-		}
-		ex.send(out, graph.TokenItem(token.EOF(f)))
-		return
+	if rows > 1 {
+		img.Retain(rows - 1)
 	}
-	if zero {
-		if chunks := (fh / ch) * (fw / cw); chunks > 1 {
-			img.Retain(chunks - 1)
-		}
-	} else {
-		defer img.Release()
-	}
-	row := f * int64(fh/ch)
+	row := f * int64(rows)
 	for y := 0; y+ch <= fh; y += ch {
-		for x := 0; x+cw <= fw; x += cw {
-			var w frame.Window
-			if zero {
-				w = img.View(x, y, cw, ch)
-			} else {
-				w = img.Sub(x, y, cw, ch)
-			}
-			ex.send(out, graph.DataItem(w))
+		if cols > 1 {
+			// Row-batched chunking: one physical item per chunk row
+			// instead of one per chunk; send retains whatever extra its
+			// fan-out (or per-edge splitting) needs.
+			b := graph.Batch{N: int32(cols), Sx: int32(cw), Bw: int32(cw)}
+			ex.send(out, graph.BatchItem(img.View(0, y, fw, ch), b))
+		} else {
+			ex.send(out, graph.DataItem(img.View(0, y, cw, ch)))
 		}
 		ex.send(out, graph.TokenItem(token.EOL(row)))
 		row++

@@ -113,8 +113,8 @@ type WorkerDrainer interface {
 
 // handleDrainWorker quiesces one cluster worker: no further placements
 // land on it and its resident sessions live-migrate to survivors. The
-// worker name comes from the "worker" query or form parameter (the
-// worker's address in static-list mode).
+// worker name comes from the "worker" query or form parameter: the
+// fleet member name, which for a static address list is the address.
 func (s *Server) handleDrainWorker(w http.ResponseWriter, r *http.Request) {
 	d, ok := s.backend.(WorkerDrainer)
 	if !ok {
