@@ -594,9 +594,9 @@ func (ps *partitionedSession) TryFeed(inputs map[string]frame.Window) (int64, er
 }
 
 // Collect returns the next merged frame in order. Its timeout error
-// says "timed out" so the HTTP layer maps it to 504 like a local
-// session's; after a failure, results buffered before it still drain
-// before the error surfaces.
+// wraps runtime.ErrCollectTimeout so the HTTP layer maps it to 504 like
+// a local session's; after a failure, results buffered before it still
+// drain before the error surfaces.
 func (ps *partitionedSession) Collect(timeout time.Duration) (*runtime.StreamResult, error) {
 	var tc <-chan time.Time
 	if timeout > 0 {
@@ -609,7 +609,7 @@ func (ps *partitionedSession) Collect(timeout time.Duration) (*runtime.StreamRes
 		ps.noteCollected()
 		return res, nil
 	case <-tc:
-		return nil, fmt.Errorf("cluster: session collect timed out after %v", timeout)
+		return nil, fmt.Errorf("cluster: %w after %v", runtime.ErrCollectTimeout, timeout)
 	case <-ps.done:
 		select {
 		case res := <-ps.results:

@@ -47,7 +47,7 @@ func TestBroadcastSendAllocFree(t *testing.T) {
 	}
 	g.AddConn("bcast", conn.Broadcast, in.Output("out"), tos)
 
-	ex, err := newExecutor(g, Options{}, 0)
+	ex, err := newExecutor(g, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

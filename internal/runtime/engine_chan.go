@@ -31,7 +31,7 @@ func newChanEngine(ex *executor) *chanEngine {
 		if n.Kind == graph.KindInput {
 			continue
 		}
-		eng.inboxes[n] = make(chan inMsg, ex.opts.ChannelCap)
+		eng.inboxes[n] = make(chan inMsg, ex.inboxCap)
 		producers := make(map[*graph.Node]bool)
 		for _, e := range ex.g.InEdges(n) {
 			producers[e.From.Node()] = true
@@ -50,10 +50,8 @@ func (eng *chanEngine) start() chan struct{} {
 		ex.wg.Add(1)
 		go func() {
 			defer func() {
-				if ex.stream {
-					if r := recover(); r != nil {
-						ex.fail(fmt.Errorf("node %q panicked: %v", n.Name(), r))
-					}
+				if r := recover(); r != nil {
+					ex.fail(fmt.Errorf("node %q panicked: %v", n.Name(), r))
 				}
 				// This node will produce nothing more: release consumers.
 				for _, consumer := range ex.downstreamConsumers(n) {

@@ -17,7 +17,7 @@ import (
 // Transport is a per-node mailbox (mutex + slice). A pool task never
 // blocks mid-firing — a full downstream box must not stall a worker —
 // but dedicated producer goroutines (inputs, stream-FSM runners) block
-// once a mailbox holds ChannelCap items, mirroring the channel
+// once a mailbox holds the executor's inbox capacity, mirroring the channel
 // engine's backpressure so a fast input cannot materialize a whole
 // frame of live windows ahead of its consumers. Invoker kernels are
 // pure event-driven state machines: a delivery marks the kernel ready,
@@ -77,7 +77,7 @@ func newWorkerEngine(ex *executor, workers int) *workerEngine {
 	eng := &workerEngine{
 		ex:      ex,
 		workers: workers,
-		cap:     ex.opts.ChannelCap,
+		cap:     ex.inboxCap,
 		boxes:   make(map[*graph.Node]*mailbox),
 		tasks:   make(map[*graph.Node]*workerTask),
 	}
@@ -138,10 +138,8 @@ func (eng *workerEngine) start() chan struct{} {
 		ex.wg.Add(1)
 		go func() {
 			defer func() {
-				if ex.stream {
-					if r := recover(); r != nil {
-						ex.fail(fmt.Errorf("node %q panicked: %v", n.Name(), r))
-					}
+				if r := recover(); r != nil {
+					ex.fail(fmt.Errorf("node %q panicked: %v", n.Name(), r))
 				}
 				for _, consumer := range ex.downstreamConsumers(n) {
 					eng.producerDone(consumer)
@@ -263,16 +261,14 @@ func (eng *workerEngine) runTask(t *workerTask) {
 	}
 }
 
-// stepTask feeds one drained batch to the driver, converting stream-
-// mode kernel panics into run failures like the goroutine engine does.
+// stepTask feeds one drained batch to the driver, converting kernel
+// panics into run failures like the goroutine engine does.
 func (eng *workerEngine) stepTask(t *workerTask, msgs []inMsg) (err error) {
-	if eng.ex.stream {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("panicked: %v", r)
-			}
-		}()
-	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panicked: %v", r)
+		}
+	}()
 	return t.d.step(msgs)
 }
 

@@ -20,6 +20,15 @@
 // methods do not fire until every replicated input has delivered at
 // least one item, making coefficient/bin loading deterministic.
 //
+// There is one execution mode, the streaming Session: input nodes chunk
+// each fed frame in scan order with EOL/EOF tokens in-band (§II-C),
+// output nodes assemble one result per frame on its end-of-frame
+// tokens, and a kernel panic is recovered into the run's error. Run is
+// a driver over a Session fed Options.Frames generated frames. A run
+// ends when its feeds close and the graph drains; a graph holding a
+// feedback loop (§III-D) cannot drain, because the loop kernel waits on
+// its own output, so it also stops once every fed frame is assembled.
+//
 // The scheduling engine is pluggable (Options.Executor): the default
 // engine runs one goroutine per node with channels as the FIFOs; the
 // worker-pool engine runs ready kernel firings to completion on a
@@ -34,6 +43,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	goruntime "runtime"
 	"sync"
@@ -65,10 +75,6 @@ type Options struct {
 	// this wall-clock duration — a watchdog against misbehaving custom
 	// kernels deadlocking the pipeline. Zero means no watchdog.
 	Timeout time.Duration
-	// ChannelCap overrides the per-node inbox capacity. Zero means
-	// automatic: generous enough to absorb the pipeline skew of
-	// windowed diamonds (several input rows).
-	ChannelCap int
 	// Sources maps application input node names to frame generators.
 	// Inputs without an entry produce frame.Gradient frames.
 	Sources map[string]frame.Generator
@@ -155,8 +161,15 @@ type engine interface {
 // executor holds the shared state of one run, independent of engine.
 type executor struct {
 	g    *graph.Graph
-	opts Options
+	opts SessionOptions
 	eng  engine
+
+	// inboxCap bounds each node's inbox: four input rows of per-sample
+	// slack, generous enough to absorb the pipeline skew of windowed
+	// diamonds. Row batching cut the physical item count per row to O(1)
+	// on batch-aware edges, so deeper buffers would only pay allocation
+	// and GC-scan cost.
+	inboxCap int
 
 	// edgesFrom caches the per-port fan-out so the send path does not
 	// allocate.
@@ -177,62 +190,82 @@ type executor struct {
 	fireMu  sync.Mutex
 	firings map[string]map[string]int64
 
-	// output collection (guarded by outMu)
-	outMu   sync.Mutex
-	slab    slabAlloc
-	outputs map[string][]graph.Item
-	// eofSeen tracks per-output EOF counts for termination.
-	eofSeen map[string]int
+	// Frames enter through feeds (one channel per input node) and leave
+	// through ready, one assembled result per frame.
+	feeds map[*graph.Node]chan frame.Window
+	ready chan StreamResult
+	// keepTokens makes the outputs record every frame's control tokens
+	// beside its windows, so Run can return the exact item stream.
+	// Sessions deliver data windows only and skip the bookkeeping.
+	keepTokens bool
+	// feedback marks a graph holding a KindFeedback node: such a run
+	// never drains on its own and stops once every fed frame is flushed.
+	feedback bool
 
-	// Streaming mode (sessions): inputs read frames from feeds instead
-	// of generating them, outputs assemble per-frame results onto ready
-	// instead of accumulating the raw item stream, and node panics are
-	// converted to errors so a bad kernel cannot take down the process.
-	stream bool
-	feeds  map[*graph.Node]chan frame.Window
-	ready  chan StreamResult
-	// curFrame and doneFrames hold the per-output frame assembly
-	// (guarded by outMu); assembled counts completed frame sets.
-	curFrame   map[string][]frame.Window
-	doneFrames map[string][][]frame.Window
-	assembled  int64
+	// Frame assembly (guarded by outMu). doneFrames queues the frames an
+	// output has finished until every output has; seq numbers assembled
+	// frames; flushed counts frames handed to ready; fedTotal is the
+	// final number of fed frames once the feeds close (-1 before).
+	outMu      sync.Mutex
+	slab       slabAlloc
+	doneFrames map[string][]frameOut
+	seq        int64
+	flushed    int64
+	fedTotal   int64
 
 	wg sync.WaitGroup
 }
 
-// newExecutor validates the graph and wires the engine; readyCap > 0
-// selects streaming mode with that many buffered frame results.
-func newExecutor(g *graph.Graph, opts Options, readyCap int) (*executor, error) {
+// frameOut is one output's share of one frame: its data windows and,
+// when the executor keeps tokens, its control tokens in arrival order.
+type frameOut struct {
+	wins []frame.Window
+	toks []tokenAt
+}
+
+// tokenAt is one control token of a frame and the number of the
+// frame's data windows that arrived before it.
+type tokenAt struct {
+	pos int
+	tok token.Token
+}
+
+// newExecutor validates the graph and wires the engine.
+func newExecutor(g *graph.Graph, opts SessionOptions) (*executor, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("runtime: invalid graph: %w", err)
 	}
-	if opts.ChannelCap <= 0 {
-		maxW := 64
-		for _, in := range g.Inputs() {
-			if in.FrameSize.W > maxW {
-				maxW = in.FrameSize.W
-			}
+	maxW := 64
+	for _, n := range g.Inputs() {
+		chunk := n.Output("out").Size
+		if n.FrameSize.W%chunk.W != 0 || n.FrameSize.H%chunk.H != 0 {
+			return nil, fmt.Errorf("runtime: input %q frame %v not divisible by chunk %v",
+				n.Name(), n.FrameSize, chunk)
 		}
-		// Four rows of per-sample slack per inbox. Row batching cut the
-		// physical item count per row to O(1) on batch-aware edges, so
-		// deep buffers only pay allocation and GC-scan cost.
-		opts.ChannelCap = 4 * maxW
+		maxW = max(maxW, n.FrameSize.W)
+	}
+	if opts.MaxInFlight <= 0 {
+		opts.MaxInFlight = 4
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = goruntime.GOMAXPROCS(0)
 	}
 
 	ex := &executor{
-		g:         g,
-		opts:      opts,
-		edgesFrom: make(map[*graph.Port][]*graph.Edge),
-		stop:      make(chan struct{}),
-		outputs:   make(map[string][]graph.Item),
-		eofSeen:   make(map[string]int),
-		firings:   make(map[string]map[string]int64),
+		g:          g,
+		opts:       opts,
+		inboxCap:   4 * maxW,
+		edgesFrom:  make(map[*graph.Port][]*graph.Edge),
+		batchOK:    make(map[*graph.Edge]bool),
+		stop:       make(chan struct{}),
+		firings:    make(map[string]map[string]int64),
+		feeds:      make(map[*graph.Node]chan frame.Window),
+		ready:      make(chan StreamResult, opts.MaxInFlight),
+		doneFrames: make(map[string][]frameOut),
+		fedTotal:   -1,
 	}
-	ex.batchOK = make(map[*graph.Edge]bool)
 	for _, n := range g.Nodes() {
+		ex.feedback = ex.feedback || n.Kind == graph.KindFeedback
 		for _, p := range n.Outputs() {
 			edges := g.EdgesFrom(p)
 			ex.edgesFrom[p] = edges
@@ -241,15 +274,8 @@ func newExecutor(g *graph.Graph, opts Options, readyCap int) (*executor, error) 
 			}
 		}
 	}
-	if readyCap > 0 {
-		ex.stream = true
-		ex.feeds = make(map[*graph.Node]chan frame.Window)
-		ex.ready = make(chan StreamResult, readyCap)
-		ex.curFrame = make(map[string][]frame.Window)
-		ex.doneFrames = make(map[string][][]frame.Window)
-		for _, n := range g.Inputs() {
-			ex.feeds[n] = make(chan frame.Window, readyCap)
-		}
+	for _, n := range g.Inputs() {
+		ex.feeds[n] = make(chan frame.Window, opts.MaxInFlight)
 	}
 	switch opts.Executor {
 	case "", ExecGoroutines:
@@ -272,43 +298,101 @@ func (ex *executor) runErr() error {
 }
 
 // Run executes the graph for opts.Frames frames and returns the
-// collected outputs. The graph must Validate cleanly.
+// collected outputs. The graph must Validate cleanly. Run is a Session
+// fed the generated frames: a feeder goroutine feeds them and finishes
+// the session, while Run collects one result per frame and rebuilds
+// each output's item stream from the recorded token positions.
 func Run(g *graph.Graph, opts Options) (*Result, error) {
-	if opts.Frames <= 0 {
-		opts.Frames = 1
-	}
-	ex, err := newExecutor(g, opts, 0)
+	frames := max(opts.Frames, 1)
+	s, err := newSession(g, SessionOptions{
+		Sources:  opts.Sources,
+		Executor: opts.Executor,
+		Workers:  opts.Workers,
+	}, true)
 	if err != nil {
 		return nil, err
 	}
-	done := ex.start()
-	if opts.Timeout > 0 {
-		select {
-		case <-done:
-		case <-time.After(opts.Timeout):
-			ex.fail(fmt.Errorf("runtime: watchdog: outputs incomplete after %v", opts.Timeout))
-			// Give unblocked goroutines a moment to notice the stop
-			// signal; a kernel stuck outside Recv/Send is leaked.
-			select {
-			case <-done:
-			case <-time.After(time.Second):
+	go func() {
+		for f := 0; f < frames; f++ {
+			if _, err := s.Feed(nil); err != nil {
+				s.Abort(err) // a bad generated frame; keeps an earlier run error
+				break
 			}
 		}
-	} else {
-		<-done
+		s.Finish()
+	}()
+	var expired <-chan time.Time
+	if opts.Timeout > 0 {
+		t := time.NewTimer(opts.Timeout)
+		defer t.Stop()
+		expired = t.C
 	}
-	if err := ex.runErr(); err != nil {
+	outputs := make(map[string][]graph.Item)
+	got := 0
+	for ; got < frames; got++ {
+		res, err := s.next(expired)
+		if errors.Is(err, ErrCollectTimeout) {
+			return nil, s.watchdog(opts.Timeout)
+		}
+		if err != nil {
+			break // the run failed or drained short; reported below
+		}
+		for name, wins := range res.Outputs {
+			items := outputs[name]
+			if got == 0 {
+				// The first frame fixes the per-frame item count; reserve
+				// the whole run's worth instead of growing frame by frame.
+				items = make([]graph.Item, 0, (len(wins)+len(res.tokens[name]))*frames)
+			}
+			outputs[name] = appendFrame(items, wins, res.tokens[name])
+		}
+	}
+	select {
+	case <-s.done:
+	case <-expired:
+		return nil, s.watchdog(opts.Timeout)
+	}
+	if err := s.Close(); err != nil {
 		return nil, err
 	}
 	// The run only succeeded if every output saw its full frame budget
 	// (a kernel that silently swallows its stream must not pass).
 	for _, o := range g.Outputs() {
-		if ex.eofSeen[o.Name()] < opts.Frames {
+		if n := got + len(s.ex.doneFrames[o.Name()]); n < frames {
 			return nil, fmt.Errorf("runtime: output %q completed %d of %d frames",
-				o.Name(), ex.eofSeen[o.Name()], opts.Frames)
+				o.Name(), n, frames)
 		}
 	}
-	return &Result{Outputs: ex.outputs, Firings: ex.firings}, nil
+	return &Result{Outputs: outputs, Firings: s.ex.firings}, nil
+}
+
+// watchdog aborts a run whose outputs missed Options.Timeout. A kernel
+// stuck outside Recv/Send never notices the stop, so the run gives it a
+// grace period and then leaks it rather than waiting forever.
+func (s *Session) watchdog(timeout time.Duration) error {
+	s.Abort(fmt.Errorf("runtime: watchdog: outputs incomplete after %v", timeout))
+	select {
+	case <-s.done:
+	case <-time.After(time.Second):
+	}
+	return s.Err()
+}
+
+// appendFrame appends one frame of an output to items as the exact
+// stream the output received: the data windows with the frame's control
+// tokens back in place.
+func appendFrame(items []graph.Item, wins []frame.Window, toks []tokenAt) []graph.Item {
+	w := 0
+	for _, t := range toks {
+		for ; w < t.pos; w++ {
+			items = append(items, graph.DataItem(wins[w]))
+		}
+		items = append(items, graph.TokenItem(t.tok))
+	}
+	for ; w < len(wins); w++ {
+		items = append(items, graph.DataItem(wins[w]))
+	}
+	return items
 }
 
 // recordFiring counts n logical method invocations for consistency
@@ -434,14 +518,8 @@ func (ex *executor) recv(n *graph.Node) (inMsg, bool) {
 func (ex *executor) runNode(n *graph.Node) error {
 	switch n.Kind {
 	case graph.KindInput:
-		if ex.stream {
-			return ex.runInputStream(n)
-		}
 		return ex.runInput(n)
 	case graph.KindOutput:
-		if ex.stream {
-			return ex.runOutputStream(n)
-		}
 		return ex.runOutput(n)
 	}
 	if r, ok := graph.RunnerBehavior(n); ok {
@@ -531,108 +609,141 @@ func (ex *executor) emitFrame(out *graph.Port, fw, fh, cw, ch int, img frame.Win
 	ex.send(out, graph.TokenItem(token.EOF(f)))
 }
 
-// runInput generates opts.Frames frames of scan-order chunks.
+// runInput chunks every frame fed to input n (emitFrame) until the
+// feed closes.
 func (ex *executor) runInput(n *graph.Node) error {
-	gen := ex.opts.Sources[n.Name()]
-	if gen == nil {
-		gen = frame.Gradient
-	}
 	out := n.Output("out")
 	chunk := out.Size
 	fs := n.FrameSize
-	if fs.W%chunk.W != 0 || fs.H%chunk.H != 0 {
-		return fmt.Errorf("runtime: input %q frame %v not divisible by chunk %v", n.Name(), fs, chunk)
-	}
-	for f := 0; f < ex.opts.Frames; f++ {
-		if ex.stopping() {
+	for f := int64(0); ; f++ {
+		select {
+		case img, ok := <-ex.feeds[n]:
+			if !ok {
+				return nil
+			}
+			ex.emitFrame(out, fs.W, fs.H, chunk.W, chunk.H, img, f)
+		case <-ex.stop:
 			return nil
 		}
-		img := gen(int64(f), fs.W, fs.H)
-		ex.emitFrame(out, fs.W, fs.H, chunk.W, chunk.H, img, int64(f))
 	}
-	return nil
 }
 
-// collectOutput ingests one data window into the result slab: the
-// samples are copied into append-only slab blocks and the original is
-// released, so the caller-visible result never pins pooled storage.
-// Must be called with outMu held.
-func (ex *executor) collectOutput(w frame.Window) frame.Window {
-	placed := ex.slab.place(w)
-	w.Release()
-	return placed
-}
-
-// collectBatch unbatches a row batch into per-window slab views —
-// application outputs always present the logical stream. The batch's
-// span is placed into the slab with one copy and the logical windows
-// are cut as views of that dense copy, so unbatching costs one memmove
-// per row, not one slab placement per window. Must be called with
-// outMu held.
-func (ex *executor) collectBatch(it graph.Item) []frame.Window {
-	dense := ex.slab.place(it.Win)
-	it.Win.Release()
-	out := make([]frame.Window, it.B.N)
-	for j := range out {
-		out[j] = it.B.Window(dense, j)
-	}
-	return out
-}
-
-// runOutput collects the stream and stops the run once every output
-// has seen the full frame budget.
+// runOutput assembles per-frame results: data windows (and, when the
+// executor keeps tokens, control tokens) accumulate until the
+// end-of-frame token, and once every application output has completed
+// a frame the combined result is flushed to ready.
 func (ex *executor) runOutput(n *graph.Node) error {
+	name := n.Name()
+	var cur frameOut
 	for {
 		msg, ok := ex.recv(n)
 		if !ok {
 			return nil
 		}
-		ex.outMu.Lock()
-		if !msg.item.IsToken && msg.item.B.IsBatch() {
-			// Unbatch in place: one slab placement for the span, one
-			// append per logical window, no intermediate slice.
-			dense := ex.slab.place(msg.item.Win)
-			msg.item.Win.Release()
-			out := ex.outputs[n.Name()]
-			for j := 0; j < int(msg.item.B.N); j++ {
-				out = append(out, graph.DataItem(msg.item.B.Window(dense, j)))
-			}
-			ex.outputs[n.Name()] = out
+		it := msg.item
+		if !it.IsToken {
+			ex.outMu.Lock()
+			cur.wins = ex.collect(cur.wins, it)
 			ex.outMu.Unlock()
 			continue
 		}
-		if !msg.item.IsToken {
-			msg.item.Win = ex.collectOutput(msg.item.Win)
+		if ex.keepTokens {
+			cur.toks = append(cur.toks, tokenAt{pos: len(cur.wins), tok: it.Tok})
 		}
-		ex.outputs[n.Name()] = append(ex.outputs[n.Name()], msg.item)
-		if msg.item.IsToken && msg.item.Tok.Kind == token.EndOfFrame {
-			ex.eofSeen[n.Name()]++
-			if ex.eofSeen[n.Name()] == 1 && ex.opts.Frames > 1 {
-				// The first frame fixes the per-frame item count; reserve
-				// the whole run's worth in one allocation instead of
-				// doubling through growslice for every remaining frame.
-				cur := ex.outputs[n.Name()]
-				if need := len(cur)*ex.opts.Frames + 8; cap(cur) < need {
-					grown := make([]graph.Item, len(cur), need)
-					copy(grown, cur)
-					ex.outputs[n.Name()] = grown
-				}
-			}
-			done := true
-			for _, o := range ex.g.Outputs() {
-				if ex.eofSeen[o.Name()] < ex.opts.Frames {
-					done = false
-					break
-				}
-			}
-			if done {
-				ex.outMu.Unlock()
-				ex.stopAll()
-				return nil
-			}
+		if it.Tok.Kind != token.EndOfFrame {
+			continue
 		}
-		ex.outMu.Unlock()
+		res, all := ex.assemble(name, cur)
+		// Frames of one stream have the same shape: size the next frame
+		// like this one instead of growing it append by append.
+		next := frameOut{wins: make([]frame.Window, 0, len(cur.wins))}
+		if ex.keepTokens {
+			next.toks = make([]tokenAt, 0, len(cur.toks))
+		}
+		cur = next
+		if !all {
+			continue
+		}
+		select {
+		case ex.ready <- res:
+			ex.noteFlushed(1)
+		case <-ex.stop:
+			return nil
+		}
 	}
+}
+
+// collect appends one data item's logical windows to wins: the samples
+// are copied into append-only slab blocks and the original is released,
+// so the caller-visible result never pins pooled storage. A row batch
+// is placed with one copy and cut into per-window views of that dense
+// copy — application outputs always present the logical stream. Must be
+// called with outMu held.
+func (ex *executor) collect(wins []frame.Window, it graph.Item) []frame.Window {
+	dense := ex.slab.place(it.Win)
+	it.Win.Release()
+	if !it.B.IsBatch() {
+		return append(wins, dense)
+	}
+	for j := 0; j < int(it.B.N); j++ {
+		wins = append(wins, it.B.Window(dense, j))
+	}
+	return wins
+}
+
+// assemble queues output name's finished frame f and, once every
+// application output has finished its oldest queued frame, pops those
+// frames into one result.
+func (ex *executor) assemble(name string, f frameOut) (StreamResult, bool) {
+	ex.outMu.Lock()
+	defer ex.outMu.Unlock()
+	ex.doneFrames[name] = append(ex.doneFrames[name], f)
+	outs := ex.g.Outputs()
+	for _, o := range outs {
+		if len(ex.doneFrames[o.Name()]) == 0 {
+			return StreamResult{}, false
+		}
+	}
+	res := StreamResult{Seq: ex.seq, Outputs: make(map[string][]frame.Window, len(outs))}
+	if ex.keepTokens {
+		res.tokens = make(map[string][]tokenAt, len(outs))
+	}
+	for _, o := range outs {
+		q := ex.doneFrames[o.Name()]
+		res.Outputs[o.Name()] = q[0].wins
+		if ex.keepTokens {
+			res.tokens[o.Name()] = q[0].toks
+		}
+		q[0] = frameOut{}
+		ex.doneFrames[o.Name()] = q[1:]
+	}
+	ex.seq++
+	return res, true
+}
+
+// noteFlushed counts n more frames handed to ready and applies the
+// feedback termination rule: once the feeds have closed and every fed
+// frame is flushed, a graph with a feedback loop is stopped, since its
+// loop would otherwise wait on itself forever.
+func (ex *executor) noteFlushed(n int64) {
+	ex.outMu.Lock()
+	ex.flushed += n
+	drained := ex.feedback && ex.fedTotal >= 0 && ex.flushed >= ex.fedTotal
+	ex.outMu.Unlock()
+	if drained {
+		ex.stopAll()
+	}
+}
+
+// closeFeeds ends the input streams after fed frames.
+func (ex *executor) closeFeeds(fed int64) {
+	for _, ch := range ex.feeds {
+		close(ch)
+	}
+	ex.outMu.Lock()
+	ex.fedTotal = fed
+	ex.outMu.Unlock()
+	ex.noteFlushed(0)
 }
 
 // slabAlloc packs output windows into append-only blocks. Blocks are

@@ -610,3 +610,30 @@ func (stuckRunner) Clone() graph.Behavior { return stuckRunner{} }
 func (stuckRunner) Run(ctx graph.RunContext) error {
 	select {} // deliberately stuck outside Recv/Send
 }
+
+// TestRunPanicRecovery checks a kernel panic under Run surfaces as the
+// run's error on both engines instead of crashing the process.
+func TestRunPanicRecovery(t *testing.T) {
+	for _, exec := range []ExecutorKind{ExecGoroutines, ExecWorkers} {
+		t.Run(string(exec), func(t *testing.T) {
+			g := graph.New("boom")
+			in := g.AddInput("Input", geom.Sz(4, 2), geom.Sz(1, 1), geom.FInt(50))
+			n := graph.NewNode("Boom", graph.KindKernel)
+			n.CreateInput("in", geom.Sz(1, 1), geom.St(1, 1), geom.Off(0, 0))
+			n.CreateOutput("out", geom.Sz(1, 1), geom.St(1, 1))
+			n.RegisterMethod("run", 1, 0)
+			n.RegisterMethodInput("run", "in")
+			n.RegisterMethodOutput("run", "out")
+			n.Behavior = panicBehavior{}
+			g.Add(n)
+			out := g.AddOutput("Output", geom.Sz(1, 1))
+			g.Connect(in, "out", n, "in")
+			g.Connect(n, "out", out, "in")
+
+			_, err := Run(g, Options{Frames: 2, Executor: exec, Timeout: 10 * time.Second})
+			if err == nil || !strings.Contains(err.Error(), "panicked") {
+				t.Fatalf("run err = %v, want kernel panic error", err)
+			}
+		})
+	}
+}

@@ -9,7 +9,6 @@ import (
 
 	"blockpar/internal/frame"
 	"blockpar/internal/graph"
-	"blockpar/internal/token"
 )
 
 // Session errors. ErrQueueFull is the backpressure signal: the caller
@@ -21,12 +20,13 @@ var (
 	// dimensions) so transports can distinguish them from execution
 	// failures.
 	ErrBadFrame = errors.New("runtime: bad frame")
+	// ErrCollectTimeout is wrapped by a Collect whose timeout expired
+	// before the next frame completed; the session itself is unharmed.
+	ErrCollectTimeout = errors.New("runtime: session collect timed out")
 )
 
 // SessionOptions configures a streaming session.
 type SessionOptions struct {
-	// ChannelCap overrides the per-node inbox capacity (see Options).
-	ChannelCap int
 	// MaxInFlight bounds the frames fed but not yet collected; TryFeed
 	// fails with ErrQueueFull at the bound (default 4).
 	MaxInFlight int
@@ -47,6 +47,9 @@ type StreamResult struct {
 	// Seq is the frame index, counted from zero per session.
 	Seq     int64
 	Outputs map[string][]frame.Window
+	// tokens holds each output's control tokens for Run; nil in a
+	// session.
+	tokens map[string][]tokenAt
 }
 
 // Session is a long-lived streaming execution instance of a graph: the
@@ -64,7 +67,6 @@ type StreamResult struct {
 type Session struct {
 	g    *graph.Graph
 	ex   *executor
-	opts SessionOptions
 	done chan struct{}
 
 	mu        sync.Mutex // guards closed, fed, and the feed sends
@@ -76,25 +78,18 @@ type Session struct {
 // NewSession validates the graph, spins up its kernel goroutines, and
 // returns a handle ready to accept frames.
 func NewSession(g *graph.Graph, opts SessionOptions) (*Session, error) {
-	if opts.MaxInFlight <= 0 {
-		opts.MaxInFlight = 4
-	}
-	for _, n := range g.Inputs() {
-		chunk := n.Output("out").Size
-		if n.FrameSize.W%chunk.W != 0 || n.FrameSize.H%chunk.H != 0 {
-			return nil, fmt.Errorf("runtime: input %q frame %v not divisible by chunk %v",
-				n.Name(), n.FrameSize, chunk)
-		}
-	}
-	ex, err := newExecutor(g, Options{
-		ChannelCap: opts.ChannelCap,
-		Executor:   opts.Executor,
-		Workers:    opts.Workers,
-	}, opts.MaxInFlight)
+	return newSession(g, opts, false)
+}
+
+// newSession starts a session whose results carry their control tokens
+// when keepTokens is set (Run's exact item streams).
+func newSession(g *graph.Graph, opts SessionOptions, keepTokens bool) (*Session, error) {
+	ex, err := newExecutor(g, opts)
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{g: g, ex: ex, opts: opts}
+	ex.keepTokens = keepTokens
+	s := &Session{g: g, ex: ex}
 	s.done = ex.start()
 	return s, nil
 }
@@ -127,7 +122,7 @@ func (s *Session) feed(inputs map[string]frame.Window, block bool) (int64, error
 	if err := s.ex.runErr(); err != nil {
 		return 0, err
 	}
-	if !block && s.fed-s.collected.Load() >= int64(s.opts.MaxInFlight) {
+	if !block && s.fed-s.collected.Load() >= int64(s.ex.opts.MaxInFlight) {
 		return 0, ErrQueueFull
 	}
 	for name := range inputs {
@@ -143,7 +138,7 @@ func (s *Session) feed(inputs map[string]frame.Window, block bool) (int64, error
 	for i, n := range ins {
 		w, ok := inputs[n.Name()]
 		if !ok {
-			gen := s.opts.Sources[n.Name()]
+			gen := s.ex.opts.Sources[n.Name()]
 			if gen == nil {
 				gen = frame.Gradient
 			}
@@ -171,9 +166,10 @@ func (s *Session) feed(inputs map[string]frame.Window, block bool) (int64, error
 }
 
 // Collect blocks until the next frame's outputs are complete and
-// returns them in frame order. A timeout of zero waits indefinitely.
-// After Close, Collect drains any remaining completed frames and then
-// fails with ErrSessionClosed.
+// returns them in frame order. A timeout of zero waits indefinitely; an
+// expired timeout returns an error wrapping ErrCollectTimeout. After
+// Close, Collect drains any remaining completed frames and then fails
+// with ErrSessionClosed.
 func (s *Session) Collect(timeout time.Duration) (*StreamResult, error) {
 	var tc <-chan time.Time
 	if timeout > 0 {
@@ -181,33 +177,33 @@ func (s *Session) Collect(timeout time.Duration) (*StreamResult, error) {
 		defer t.Stop()
 		tc = t.C
 	}
+	res, err := s.next(tc)
+	if errors.Is(err, ErrCollectTimeout) {
+		return nil, fmt.Errorf("%w after %v", ErrCollectTimeout, timeout)
+	}
+	return res, err
+}
+
+// next is Collect with the deadline as a channel: it returns
+// ErrCollectTimeout itself once tc fires.
+func (s *Session) next(tc <-chan time.Time) (*StreamResult, error) {
 	select {
 	case res := <-s.ex.ready:
 		s.collected.Add(1)
 		return &res, nil
 	case <-tc:
-		return nil, fmt.Errorf("runtime: session collect timed out after %v", timeout)
+		return nil, ErrCollectTimeout
 	case <-s.ex.stop:
-		// A completed frame may have raced with the failure; prefer it.
-		select {
-		case res := <-s.ex.ready:
-			s.collected.Add(1)
-			return &res, nil
-		default:
-		}
-		return nil, s.failErr()
 	case <-s.done:
-		select {
-		case res := <-s.ex.ready:
-			s.collected.Add(1)
-			return &res, nil
-		default:
-		}
-		if err := s.ex.runErr(); err != nil {
-			return nil, err
-		}
-		return nil, ErrSessionClosed
 	}
+	// A completed frame may have raced with the end of the run; prefer it.
+	select {
+	case res := <-s.ex.ready:
+		s.collected.Add(1)
+		return &res, nil
+	default:
+	}
+	return nil, s.failErr()
 }
 
 // Fed returns the number of frames accepted so far.
@@ -222,7 +218,7 @@ func (s *Session) Fed() int64 {
 func (s *Session) Completed() int64 {
 	s.ex.outMu.Lock()
 	defer s.ex.outMu.Unlock()
-	return s.ex.assembled
+	return s.ex.flushed
 }
 
 // InFlight returns the frames fed but not yet collected.
@@ -240,14 +236,7 @@ func (s *Session) Err() error { return s.ex.runErr() }
 // then all kernel goroutines exit. It returns the first execution
 // error, if any. Close is idempotent.
 func (s *Session) Close() error {
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		for _, n := range s.g.Inputs() {
-			close(s.ex.feeds[n])
-		}
-	}
-	s.mu.Unlock()
+	s.Finish()
 	for {
 		select {
 		case <-s.done:
@@ -282,13 +271,11 @@ func (s *Session) Close() error {
 // to reap the session.
 func (s *Session) Finish() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !s.closed {
 		s.closed = true
-		for _, n := range s.g.Inputs() {
-			close(s.ex.feeds[n])
-		}
+		s.ex.closeFeeds(s.fed)
 	}
-	s.mu.Unlock()
 }
 
 // Abort kills the session immediately with err: every kernel stops at
@@ -302,86 +289,11 @@ func (s *Session) Abort(err error) {
 	s.ex.fail(err)
 }
 
+// failErr is the error of a session that has stopped: its execution
+// failure, or ErrSessionClosed when it ended cleanly.
 func (s *Session) failErr() error {
 	if err := s.ex.runErr(); err != nil {
 		return err
 	}
-	return errors.New("runtime: session stopped")
-}
-
-// runInputStream is the streaming replacement for runInput: frames
-// arrive from the session feed instead of a generator, but chunking and
-// EOL/EOF numbering are identical so results match the batch runtime.
-func (ex *executor) runInputStream(n *graph.Node) error {
-	out := n.Output("out")
-	chunk := out.Size
-	fs := n.FrameSize
-	for f := int64(0); ; f++ {
-		var img frame.Window
-		select {
-		case w, ok := <-ex.feeds[n]:
-			if !ok {
-				return nil
-			}
-			img = w
-		case <-ex.stop:
-			return nil
-		}
-		ex.emitFrame(out, fs.W, fs.H, chunk.W, chunk.H, img, f)
-	}
-}
-
-// runOutputStream assembles per-frame output groups: data windows
-// accumulate until the end-of-frame token, and once every application
-// output has completed a frame the combined result is flushed to the
-// session's ready queue.
-func (ex *executor) runOutputStream(n *graph.Node) error {
-	name := n.Name()
-	for {
-		msg, ok := ex.recv(n)
-		if !ok {
-			return nil
-		}
-		if !msg.item.IsToken {
-			ex.outMu.Lock()
-			if msg.item.B.IsBatch() {
-				ex.curFrame[name] = append(ex.curFrame[name], ex.collectBatch(msg.item)...)
-			} else {
-				ex.curFrame[name] = append(ex.curFrame[name], ex.collectOutput(msg.item.Win))
-			}
-			ex.outMu.Unlock()
-			continue
-		}
-		if msg.item.Tok.Kind != token.EndOfFrame {
-			continue
-		}
-		ex.outMu.Lock()
-		ex.doneFrames[name] = append(ex.doneFrames[name], ex.curFrame[name])
-		ex.curFrame[name] = nil
-		res := StreamResult{Outputs: make(map[string][]frame.Window)}
-		all := true
-		for _, o := range ex.g.Outputs() {
-			if len(ex.doneFrames[o.Name()]) == 0 {
-				all = false
-				break
-			}
-		}
-		if all {
-			for _, o := range ex.g.Outputs() {
-				q := ex.doneFrames[o.Name()]
-				res.Outputs[o.Name()] = q[0]
-				ex.doneFrames[o.Name()] = q[1:]
-			}
-			res.Seq = ex.assembled
-			ex.assembled++
-		}
-		ex.outMu.Unlock()
-		if all {
-			select {
-			case ex.ready <- res:
-			case <-ex.stop:
-				return nil
-			}
-		}
-	}
+	return ErrSessionClosed
 }

@@ -229,3 +229,55 @@ func TestSessionPanicRecovery(t *testing.T) {
 		t.Fatalf("collect err = %v, want kernel panic error", err)
 	}
 }
+
+// feedbackGraph is the accumulator closed through a feedback kernel
+// (§III-D), the graph TestFeedbackAccumulator runs in batch.
+func feedbackGraph() *graph.Graph {
+	g := graph.New("feedback")
+	in := g.AddInput("Input", geom.Sz(6, 1), geom.Sz(1, 1), geom.FInt(10))
+	acc := g.Add(kernel.Accumulator("Acc"))
+	fb := g.Add(kernel.Feedback("FB", geom.Sz(1, 1), []frame.Window{frame.Scalar(0)}))
+	out := g.AddOutput("Output", geom.Sz(1, 1))
+	g.Connect(in, "out", acc, "in")
+	g.Connect(fb, "out", acc, "state")
+	g.Connect(acc, "loop", fb, "in")
+	g.Connect(acc, "out", out, "in")
+	return g
+}
+
+// TestSessionCloseFeedback checks a session over a feedback loop ends:
+// the loop never sees end-of-stream, so Close must still return once
+// every fed frame has been assembled, on both engines.
+func TestSessionCloseFeedback(t *testing.T) {
+	for _, exec := range []ExecutorKind{ExecGoroutines, ExecWorkers} {
+		t.Run(string(exec), func(t *testing.T) {
+			sess, err := NewSession(feedbackGraph(), SessionOptions{Executor: exec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess.Feed(nil); err != nil {
+				t.Fatalf("feed: %v", err)
+			}
+			res, err := sess.Collect(10 * time.Second)
+			if err != nil {
+				t.Fatalf("collect: %v", err)
+			}
+			if got := len(res.Outputs["Output"]); got != 6 {
+				t.Fatalf("frame has %d windows, want 6", got)
+			}
+			closed := make(chan error, 1)
+			go func() { closed <- sess.Close() }()
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Fatalf("close: %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Close did not return within 5s")
+			}
+			if _, err := sess.Collect(time.Second); !errors.Is(err, ErrSessionClosed) {
+				t.Fatalf("collect after close err = %v, want ErrSessionClosed", err)
+			}
+		})
+	}
+}

@@ -11,7 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"blockpar/internal/apps"
 	"blockpar/internal/frame"
+	"blockpar/internal/geom"
+	"blockpar/internal/graph"
 	"blockpar/internal/machine"
 	"blockpar/internal/runtime"
 )
@@ -256,5 +259,55 @@ func TestServeDrainWorkerEndpoint(t *testing.T) {
 	defer lts.Close()
 	if code, _, _ := doJSON(t, lts, "POST", "/drain-worker?worker=x", nil); code != http.StatusNotImplemented {
 		t.Errorf("drain on a local backend: got %d, want 501", code)
+	}
+}
+
+// timedOutKernel fails every firing with an error whose text happens to
+// say "timed out", standing in for a kernel reporting its own deadline.
+type timedOutKernel struct{}
+
+func (timedOutKernel) Clone() graph.Behavior { return timedOutKernel{} }
+func (timedOutKernel) Invoke(string, graph.ExecContext) error {
+	return errors.New("sensor read timed out")
+}
+
+// TestServeSessionFailureIsNot504 pins the collect status mapping to
+// the typed timeout: a session that failed is a 500, whatever its
+// error text says; only an expired collect deadline is a 504.
+func TestServeSessionFailureIsNot504(t *testing.T) {
+	g := graph.New("timeout-text")
+	in := g.AddInput("Input", geom.Sz(4, 2), geom.Sz(1, 1), geom.FInt(50))
+	k := graph.NewNode("Sensor", graph.KindKernel)
+	k.CreateInput("in", geom.Sz(1, 1), geom.St(1, 1), geom.Off(0, 0))
+	k.CreateOutput("out", geom.Sz(1, 1), geom.St(1, 1))
+	k.RegisterMethod("read", 1, 0)
+	k.RegisterMethodInput("read", "in")
+	k.RegisterMethodOutput("read", "out")
+	k.Behavior = timedOutKernel{}
+	g.Add(k)
+	out := g.AddOutput("Output", geom.Sz(1, 1))
+	g.Connect(in, "out", k, "in")
+	g.Connect(k, "out", out, "in")
+
+	reg := NewRegistry(machine.Embedded())
+	if _, err := reg.AddApp("sensor", "test", &apps.App{Name: "sensor", Graph: g}); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(reg, Options{})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	}()
+
+	id := openSession(t, ts, "sensor", 1)
+	code, _, reply := doJSON(t, ts, "POST", "/sessions/"+id+"/process?timeout=10s", nil)
+	if code != http.StatusInternalServerError {
+		t.Fatalf("failed session: got %d (%s), want 500", code, reply["error"])
+	}
+	if !strings.Contains(string(reply["error"]), "timed out") {
+		t.Fatalf("error %s does not carry the kernel's message", reply["error"])
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -585,7 +584,7 @@ func (s *Server) collectAndReply(w http.ResponseWriter, r *http.Request, sess *s
 			writeErr(w, http.StatusServiceUnavailable, err.Error())
 		case errors.Is(err, runtime.ErrSessionClosed):
 			writeErr(w, http.StatusConflict, err.Error())
-		case isTimeout(err):
+		case errors.Is(err, runtime.ErrCollectTimeout):
 			writeErr(w, http.StatusGatewayTimeout, err.Error())
 		default:
 			s.metrics.sessionErrors.Add(1)
@@ -636,11 +635,6 @@ func (s *Server) isClosed() bool {
 }
 
 // ---- plumbing ----
-
-// isTimeout matches the runtime's collect-deadline error.
-func isTimeout(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "timed out")
-}
 
 // readFrameBody decodes an optional {"inputs": {...}} request body: an
 // empty body means "generate every input from the pipeline's sources".
